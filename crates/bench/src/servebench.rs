@@ -32,9 +32,7 @@
 //! load generator (`repf_serve::loadgen`) against fresh epoll daemons:
 //! per op mix and per connection-herd size it sweeps the target arrival
 //! rate and records throughput-vs-latency curves with
-//! coordinated-omission-safe (intended-start-time) p50/p99/p999, plus a
-//! batched-vs-unbatched I/O comparison at the same target rate with the
-//! server's `io.batch.*` counters alongside.
+//! coordinated-omission-safe (intended-start-time) p50/p99/p999.
 //!
 //! A sixth scenario, **cluster_fanout**, installs a 3-node consistent-
 //! hash ring, fans the same zipf load out over it (every op routed to
@@ -331,22 +329,19 @@ fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-/// One sustained-load point: a fresh epoll daemon (batched or unbatched
-/// I/O), the open-loop generator at `rate` with `conns` open sockets,
-/// and the server's own stats snapshot from just before shutdown.
+/// One sustained-load point: a fresh epoll daemon and the open-loop
+/// generator at `rate` with `conns` open sockets.
 fn load_point(
     threads: usize,
-    io_batch: bool,
     mix: OpMix,
     conns: usize,
     rate: f64,
     secs: f64,
     sessions: u32,
-) -> (LoadReport, Vec<(String, f64)>) {
+) -> LoadReport {
     let handle = start(ServeConfig {
         threads,
         io_mode: IoMode::Epoll,
-        io_batch,
         max_conns: conns + 64,
         ..ServeConfig::default()
     })
@@ -366,10 +361,9 @@ fn load_point(
     )
     .expect("load run");
     let mut c = Client::connect(addr).expect("connect");
-    let stats = c.stats().expect("stats");
     c.shutdown_server().expect("shutdown");
     handle.join();
-    (report, stats)
+    report
 }
 
 /// One store-policy A/B side: a fresh daemon with a deliberately tight
@@ -991,9 +985,8 @@ pub fn run() {
         for &conns in &load_conns {
             let mut points: Vec<Json> = Vec::new();
             for &rate in &load_rates {
-                let (r, _) = load_point(
+                let r = load_point(
                     threads,
-                    true,
                     mix,
                     conns,
                     rate as f64,
@@ -1018,76 +1011,6 @@ pub fn run() {
             ]));
         }
     }
-
-    // Batched vs. unbatched epoll I/O at the same target rate: the
-    // before/after for the completion-drain + writev + dispatch batching.
-    let cmp_conns = load_conns[0];
-    let cmp_rate = *load_rates.last().unwrap() as f64;
-    let (batched, batched_stats) = load_point(
-        threads,
-        true,
-        OpMix::QueryHeavy,
-        cmp_conns,
-        cmp_rate,
-        load_secs,
-        load_sessions,
-    );
-    let (unbatched, unbatched_stats) = load_point(
-        threads,
-        false,
-        OpMix::QueryHeavy,
-        cmp_conns,
-        cmp_rate,
-        load_secs,
-        load_sessions,
-    );
-    let stat_in = |stats: &[(String, f64)], k: &str| {
-        stats
-            .iter()
-            .find(|(name, _)| name == k)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
-    };
-    assert!(
-        stat_in(&batched_stats, "io.batch.flushes") > 0.0,
-        "batched run must exercise the batched flush path"
-    );
-    println!(
-        "  load batching @ {cmp_rate:.0}/s x{cmp_conns}: batched p99 {:>6.0} us ({:.0} flushes, {:.2} frames/flush) vs unbatched p99 {:>6.0} us",
-        batched.intended.quantile_us(0.99),
-        stat_in(&batched_stats, "io.batch.flushes"),
-        stat_in(&batched_stats, "io.batch.flush_frames")
-            / stat_in(&batched_stats, "io.batch.flushes").max(1.0),
-        unbatched.intended.quantile_us(0.99),
-    );
-    let batch_side = |r: &LoadReport, stats: &[(String, f64)]| {
-        Json::obj([
-            ("point", load_point_json(r)),
-            (
-                "io_batch_flushes",
-                Json::Num(stat_in(stats, "io.batch.flushes")),
-            ),
-            (
-                "io_batch_flush_frames",
-                Json::Num(stat_in(stats, "io.batch.flush_frames")),
-            ),
-            (
-                "io_batch_completion_drains",
-                Json::Num(stat_in(stats, "io.batch.completion_drains")),
-            ),
-            (
-                "io_batch_dispatch_jobs",
-                Json::Num(stat_in(stats, "io.batch.dispatch_jobs")),
-            ),
-        ])
-    };
-    let load_batching = Json::obj([
-        ("mix", Json::str(OpMix::QueryHeavy.as_str())),
-        ("conns", Json::Num(cmp_conns as f64)),
-        ("target_rate", Json::Num(cmp_rate)),
-        ("batched", batch_side(&batched, &batched_stats)),
-        ("unbatched", batch_side(&unbatched, &unbatched_stats)),
-    ]);
 
     // Store-policy A/B: the same seeded scan-churn schedule against a
     // tight session budget under LRU and under W-TinyLFU. Hit ratio is
@@ -1313,7 +1236,6 @@ pub fn run() {
                 ("duration_secs", Json::Num(load_secs)),
                 ("sessions", Json::Num(load_sessions as f64)),
                 ("curves", Json::Arr(load_curves)),
-                ("batching", load_batching),
             ]),
         ),
         ("store_policy".into(), store_policy),

@@ -105,26 +105,16 @@ impl FrameAccumulator {
 /// Buffered outbound frames with partial-write resumption: responses
 /// are appended as fully-encoded frames and flushed as far as the
 /// socket accepts, keeping a cursor so `EPOLLOUT` can continue exactly
-/// where the kernel buffer filled up.
-///
-/// Two flush strategies, byte-identical on the wire:
-///
-/// * **vectored** (default) — frames are kept as separate buffers and
-///   flushed with `write_vectored` (`writev`), so queuing a frame never
-///   copies its bytes and a backlog of responses goes out in one
-///   scatter-gather syscall;
-/// * **coalescing** ([`set_coalesce`](Self::set_coalesce)) — frames are
-///   copied into one contiguous buffer and flushed with plain `write`,
-///   the pre-batching reference behavior the unbatched epoll path keeps
-///   for before/after comparison.
+/// where the kernel buffer filled up. Frames are kept as separate
+/// buffers and flushed with `write_vectored` (`writev`), so queuing a
+/// frame never copies its bytes and a backlog of responses goes out in
+/// one scatter-gather syscall.
 #[derive(Default)]
 pub struct WriteBuf {
-    /// Queued frames; in coalescing mode at most one entry that every
-    /// push appends to.
+    /// Queued frames.
     frames: VecDeque<Vec<u8>>,
     /// Bytes of `frames[0]` already written.
     head: usize,
-    coalesce: bool,
 }
 
 /// Most frames handed to one `write_vectored` call; a longer backlog
@@ -132,38 +122,15 @@ pub struct WriteBuf {
 const MAX_IOVECS: usize = 64;
 
 impl WriteBuf {
-    /// An empty buffer (vectored flush).
+    /// An empty buffer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Switch to the coalescing (contiguous copy + plain `write`)
-    /// strategy. Only meaningful while empty.
-    pub fn set_coalesce(&mut self) {
-        debug_assert!(self.is_empty());
-        self.coalesce = true;
-    }
-
-    /// Queue a fully-encoded frame (length prefix included).
-    pub fn push_frame(&mut self, frame: &[u8]) {
-        if self.coalesce {
-            match self.frames.back_mut() {
-                Some(buf) => buf.extend_from_slice(frame),
-                None => self.frames.push_back(frame.to_vec()),
-            }
-        } else {
-            self.frames.push_back(frame.to_vec());
-        }
-    }
-
-    /// Hand over an already-encoded frame without copying it (vectored
-    /// mode's zero-copy entry; coalescing mode still copies).
-    pub fn push_frame_owned(&mut self, frame: Vec<u8>) {
-        if self.coalesce {
-            self.push_frame(&frame);
-        } else {
-            self.frames.push_back(frame);
-        }
+    /// Queue a fully-encoded frame (length prefix included) without
+    /// copying it.
+    pub fn push_frame(&mut self, frame: Vec<u8>) {
+        self.frames.push_back(frame);
     }
 
     /// Unwritten bytes pending.
@@ -171,8 +138,7 @@ impl WriteBuf {
         self.frames.iter().map(Vec::len).sum::<usize>() - self.head
     }
 
-    /// Queued frames not yet fully written (in coalescing mode, 0 or 1
-    /// regardless of how many frames were pushed).
+    /// Queued frames not yet fully written.
     pub fn frames_pending(&self) -> usize {
         self.frames.len()
     }
@@ -203,7 +169,7 @@ impl WriteBuf {
     /// not an error.
     pub fn write_to(&mut self, w: &mut impl Write) -> std::io::Result<bool> {
         while !self.frames.is_empty() {
-            let wrote = if self.coalesce || self.frames.len() == 1 {
+            let wrote = if self.frames.len() == 1 {
                 w.write(&self.frames[0][self.head..])
             } else {
                 let mut slices: Vec<std::io::IoSlice<'_>> =
@@ -256,13 +222,19 @@ pub struct Conn {
     pub token: u64,
     /// Inbound frame parser.
     pub acc: FrameAccumulator,
-    /// Outbound buffer (responses in order).
+    /// Outbound buffer (responses in order). The event loop queues
+    /// replies here and flushes once per poll iteration, so several
+    /// frames go out in a single `writev`.
     pub out: WriteBuf,
-    /// Complete frame bodies decoded but not yet dispatched — at most
-    /// one request per connection is in flight on the worker pool, so a
-    /// pipelining client's extra frames wait here in arrival order.
+    /// Complete frame bodies not yet dispatched, in arrival order. When
+    /// nothing from this connection is in flight, the event loop takes
+    /// the next run off the front (up to 32 consecutive requests, ending
+    /// early at a `Shutdown` or undecodable frame); frames that arrive
+    /// while a run is in flight wait here for the next one.
     pub pending: VecDeque<Vec<u8>>,
-    /// A request from this connection is on the worker pool.
+    /// A run of this connection's requests is on the worker pool.
+    /// Cleared only when the run's last reply arrives — all of a run's
+    /// replies come back together.
     pub in_flight: bool,
     /// Close once the write buffer drains (set after framing errors and
     /// during drain).
@@ -388,21 +360,6 @@ impl Conn {
         }
     }
 
-    /// Queue an encoded response frame and flush as far as the socket
-    /// allows. Returns `Ok(drained)`; arms or clears the write deadline
-    /// accordingly.
-    pub fn queue_frame(&mut self, frame: &[u8], now: Instant) -> std::io::Result<bool> {
-        self.out.push_frame(frame);
-        self.flush(now)
-    }
-
-    /// Queue an encoded response frame *without* flushing: the batched
-    /// event loop defers the socket write to one flush pass per poll
-    /// iteration, so several frames go out in a single `writev`.
-    pub fn queue_frame_deferred(&mut self, frame: Vec<u8>) {
-        self.out.push_frame_owned(frame);
-    }
-
     /// Continue writing buffered output (the `EPOLLOUT` handler).
     pub fn flush(&mut self, now: Instant) -> std::io::Result<bool> {
         let drained = self.out.write_to(&mut self.stream)?;
@@ -519,7 +476,7 @@ mod tests {
     fn write_buf_resumes_partial_writes_across_blocks() {
         let mut wb = WriteBuf::new();
         let frame = frame_of(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        wb.push_frame(&frame);
+        wb.push_frame(frame.clone());
         let mut w = Throttled {
             taken: Vec::new(),
             per_call: 5,
@@ -530,7 +487,7 @@ mod tests {
 
         // A second frame queues behind the stalled first.
         let frame2 = frame_of(&[9, 9]);
-        wb.push_frame(&frame2);
+        wb.push_frame(frame2.clone());
         w.calls_left = 10;
         assert!(wb.write_to(&mut w).unwrap(), "drains when unblocked");
         let mut want = frame.clone();
@@ -584,9 +541,9 @@ mod tests {
 
         let mut wb = WriteBuf::new();
         for f in &frames {
-            wb.push_frame(f);
+            wb.push_frame(f.clone());
         }
-        assert_eq!(wb.frames_pending(), 5, "vectored mode keeps frames apart");
+        assert_eq!(wb.frames_pending(), 5, "frames stay apart");
         assert_eq!(wb.pending(), want.len());
 
         // Partial budget cuts mid-frame; the cursor must resume exactly.
@@ -601,22 +558,6 @@ mod tests {
         assert!(wb.write_to(&mut w).unwrap(), "drains when unblocked");
         assert_eq!(w.taken, want, "bytes identical and in order");
         assert!(wb.is_empty());
-
-        // The coalescing reference strategy produces the same bytes.
-        let mut wb = WriteBuf::new();
-        wb.set_coalesce();
-        for f in &frames {
-            wb.push_frame(f);
-        }
-        assert_eq!(wb.frames_pending(), 1, "coalesced into one buffer");
-        assert_eq!(wb.pending(), want.len());
-        let mut w = Vectored {
-            taken: Vec::new(),
-            per_call: 7,
-            calls_left: usize::MAX,
-        };
-        assert!(wb.write_to(&mut w).unwrap());
-        assert_eq!(w.taken, want, "coalescing strategy is byte-identical");
     }
 
     #[test]
@@ -685,7 +626,7 @@ mod tests {
 
         // Buffered output: only the write deadline counts, never the
         // (possibly long-past) read deadline.
-        conn.out.push_frame(&[0u8; 8]);
+        conn.out.push_frame(vec![0u8; 8]);
         let w = t0 + Duration::from_secs(5);
         conn.write_deadline = Some(w);
         assert_eq!(conn.next_deadline(), Some(w));

@@ -15,34 +15,9 @@
 //! subdivided into 32 linear sub-buckets, so quantiles carry ≤ ~3%
 //! relative error instead of the old pure-power-of-two ≤ 2×.
 
+use crate::proto::REQUEST_KINDS;
 use repf_metrics::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Request classes tracked separately (indexes into the counter arrays).
-pub const REQUEST_KINDS: [&str; 15] = [
-    "ping",
-    "submit",
-    "mrc",
-    "pc_mrc",
-    "plan",
-    "co_run",
-    "place",
-    "stats",
-    "shutdown",
-    "ring_get",
-    "ring_set",
-    "peer_forward",
-    "session_import",
-    "model_pull",
-    "model_pull_current",
-];
-
-fn kind_index(kind: &str) -> usize {
-    REQUEST_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .unwrap_or(REQUEST_KINDS.len() - 1)
-}
 
 /// Linear sub-buckets per power-of-two octave: `2^SUB_BITS`.
 const SUB_BITS: u32 = 5;
@@ -309,11 +284,11 @@ impl Metrics {
         Self::default()
     }
 
-    /// Count one request of `kind` (a [`Request::kind_name`] label).
+    /// Count one request of `kind` (a [`Request::kind_index`] slot).
     ///
-    /// [`Request::kind_name`]: crate::proto::Request::kind_name
-    pub fn count_request(&self, kind: &str) {
-        self.requests[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
+    /// [`Request::kind_index`]: crate::proto::Request::kind_index
+    pub fn count_request(&self, kind: usize) {
+        self.requests[kind].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one session model-cache outcome.
@@ -325,9 +300,11 @@ impl Metrics {
         }
     }
 
-    /// Requests seen for `kind`.
-    pub fn requests_of(&self, kind: &str) -> u64 {
-        self.requests[kind_index(kind)].load(Ordering::Relaxed)
+    /// Requests seen for `kind` (a [`Request::kind_index`] slot).
+    ///
+    /// [`Request::kind_index`]: crate::proto::Request::kind_index
+    pub fn requests_of(&self, kind: usize) -> u64 {
+        self.requests[kind].load(Ordering::Relaxed)
     }
 
     /// Total requests across all kinds.
@@ -433,6 +410,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Request;
 
     #[test]
     fn bucket_index_is_monotone_and_invertible_at_boundaries() {
@@ -565,15 +543,17 @@ mod tests {
     #[test]
     fn request_counters_by_kind() {
         let m = Metrics::new();
-        m.count_request("ping");
-        m.count_request("plan");
-        m.count_request("plan");
-        assert_eq!(m.requests_of("plan"), 2);
-        assert_eq!(m.requests_of("ping"), 1);
+        let ping = Request::Ping.kind_index();
+        let stats = Request::Stats.kind_index();
+        m.count_request(ping);
+        m.count_request(stats);
+        m.count_request(stats);
+        assert_eq!(m.requests_of(stats), 2);
+        assert_eq!(m.requests_of(ping), 1);
         assert_eq!(m.total_requests(), 3);
         let snap = m.snapshot();
-        let plan = snap.iter().find(|(k, _)| k == "requests.plan").unwrap();
-        assert_eq!(plan.1, 2.0);
+        let stats = snap.iter().find(|(k, _)| k == "requests.stats").unwrap();
+        assert_eq!(stats.1, 2.0);
     }
 
     #[test]

@@ -271,6 +271,27 @@ impl ModelWire {
     }
 }
 
+/// Metrics labels of the request types, indexed by
+/// [`Request::kind_index`]; the `Stats` reply lists `requests.<kind>` in
+/// this order.
+pub const REQUEST_KINDS: [&str; 15] = [
+    "ping",
+    "submit",
+    "mrc",
+    "pc_mrc",
+    "plan",
+    "co_run",
+    "place",
+    "stats",
+    "shutdown",
+    "ring_get",
+    "ring_set",
+    "peer_forward",
+    "session_import",
+    "model_pull",
+    "model_pull_current",
+];
+
 /// A client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -550,6 +571,20 @@ const T_ERROR: u8 = 0xE1;
 struct Enc(Vec<u8>);
 
 impl Enc {
+    /// A frame under construction: the 4-byte length prefix is reserved
+    /// up front and filled in by [`into_frame`](Self::into_frame), so the
+    /// body is written once, straight into the buffer that goes out.
+    fn frame() -> Self {
+        Enc(vec![0; 4])
+    }
+
+    /// Fill in the length prefix and hand over the finished frame.
+    fn into_frame(mut self) -> Vec<u8> {
+        let len = (self.0.len() - 4) as u32;
+        self.0[..4].copy_from_slice(&len.to_le_bytes());
+        self.0
+    }
+
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -871,7 +906,7 @@ fn dec_sizes(d: &mut Dec) -> Result<Vec<u64>, ProtoError> {
 impl Request {
     /// Serialize into a full frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc(Vec::new());
+        let mut e = Enc::frame();
         e.u8(PROTO_VERSION);
         match self {
             Request::Ping => e.u8(T_PING),
@@ -992,7 +1027,7 @@ impl Request {
                 enc_f64s(&mut e, intensities);
             }
         }
-        frame(e.0)
+        e.into_frame()
     }
 
     /// Decode a frame body (version + type + payload, no length prefix).
@@ -1082,25 +1117,31 @@ impl Request {
         Ok(req)
     }
 
+    /// This request type's slot in [`REQUEST_KINDS`] (and in the
+    /// metrics counter array).
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Request::Ping => 0,
+            Request::Submit { .. } => 1,
+            Request::QueryMrc { .. } => 2,
+            Request::QueryPcMrc { .. } => 3,
+            Request::QueryPlan { .. } => 4,
+            Request::CoRun { .. } => 5,
+            Request::Place { .. } => 6,
+            Request::Stats => 7,
+            Request::Shutdown => 8,
+            Request::RingGet => 9,
+            Request::RingSet { .. } => 10,
+            Request::PeerForward { .. } => 11,
+            Request::SessionImport { .. } => 12,
+            Request::ModelPull { .. } => 13,
+            Request::ModelPullCurrent { .. } => 14,
+        }
+    }
+
     /// The metrics label for this request type.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Submit { .. } => "submit",
-            Request::QueryMrc { .. } => "mrc",
-            Request::QueryPcMrc { .. } => "pc_mrc",
-            Request::QueryPlan { .. } => "plan",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-            Request::RingGet => "ring_get",
-            Request::RingSet { .. } => "ring_set",
-            Request::PeerForward { .. } => "peer_forward",
-            Request::SessionImport { .. } => "session_import",
-            Request::ModelPull { .. } => "model_pull",
-            Request::ModelPullCurrent { .. } => "model_pull_current",
-            Request::CoRun { .. } => "co_run",
-            Request::Place { .. } => "place",
-        }
+        REQUEST_KINDS[self.kind_index()]
     }
 
     /// True for the node-to-node / cluster-admin message kinds: a
@@ -1122,7 +1163,7 @@ impl Request {
 impl Response {
     /// Serialize into a full frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc(Vec::new());
+        let mut e = Enc::frame();
         e.u8(PROTO_VERSION);
         match self {
             Response::Pong => e.u8(T_PONG),
@@ -1247,7 +1288,7 @@ impl Response {
                 e.string(message);
             }
         }
-        frame(e.0)
+        e.into_frame()
     }
 
     /// Decode a frame body (version + type + payload, no length prefix).
@@ -1388,14 +1429,6 @@ fn check_version(d: &mut Dec) -> Result<(), ProtoError> {
         Ok(v) => Err(ProtoError::BadVersion(v)),
         Err(_) => Err(ProtoError::TooShort),
     }
-}
-
-/// Prepend the length prefix to a frame body.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
 }
 
 /// Read one frame body from `r`. Returns:
@@ -1950,6 +1983,83 @@ mod tests {
         assert_eq!(
             Request::decode(&f[4..]),
             Err(ProtoError::TrailingBytes(1))
+        );
+    }
+
+    #[test]
+    fn kind_indices_are_distinct_and_cover_the_table() {
+        let s = || "s".to_string();
+        let target = || Target::Session(s());
+        let every_variant = [
+            Request::Ping,
+            Request::Submit {
+                session: s(),
+                batch: SampleBatch::default(),
+            },
+            Request::QueryMrc {
+                target: target(),
+                sizes_bytes: vec![],
+            },
+            Request::QueryPcMrc {
+                target: target(),
+                pc: 0,
+                sizes_bytes: vec![],
+            },
+            Request::QueryPlan {
+                target: target(),
+                machine: MachineId::Amd,
+                delta: 0.0,
+            },
+            Request::Stats,
+            Request::Shutdown,
+            Request::RingGet,
+            Request::RingSet {
+                epoch: 0,
+                seed: 0,
+                vnodes: 0,
+                nodes: vec![],
+            },
+            Request::PeerForward {
+                hops: 0,
+                frame: vec![],
+            },
+            Request::SessionImport {
+                session: s(),
+                version: 0,
+                batch: SampleBatch::default(),
+                model: None,
+            },
+            Request::ModelPull {
+                session: s(),
+                version: 0,
+            },
+            Request::ModelPullCurrent {
+                session: s(),
+                cached_version: 0,
+            },
+            Request::CoRun {
+                sessions: vec![],
+                sizes_bytes: vec![],
+                intensities: vec![],
+            },
+            Request::Place {
+                sessions: vec![],
+                groups: 0,
+                capacity: 0,
+                size_bytes: 0,
+                intensities: vec![],
+            },
+        ];
+        let mut slots: Vec<usize> = every_variant.iter().map(Request::kind_index).collect();
+        slots.sort_unstable();
+        let want: Vec<usize> = (0..REQUEST_KINDS.len()).collect();
+        assert_eq!(slots, want, "one distinct slot per table entry");
+        // The labels (the `requests.<kind>` Stats keys) stay pinned.
+        let names: Vec<&str> = every_variant.iter().map(Request::kind_name).collect();
+        assert_eq!(
+            names.join(" "),
+            "ping submit mrc pc_mrc plan stats shutdown ring_get ring_set peer_forward \
+             session_import model_pull model_pull_current co_run place"
         );
     }
 

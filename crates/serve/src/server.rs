@@ -8,8 +8,11 @@
 //!   [`crate::poll`]'s `epoll`/`eventfd` wrappers, with per-connection
 //!   state machines ([`crate::conn`]) for incremental frame reads,
 //!   buffered partial writes and idle/slow-loris deadlines on a sorted
-//!   deadline heap. Compute still runs on the bounded worker pool;
-//!   completions come back over an eventfd-woken queue. 10k mostly-idle
+//!   deadline heap. Compute still runs on the bounded worker pool: an
+//!   idle connection's queued frames leave as one *run* (up to 32
+//!   requests, handled in arrival order inside one worker job), and the
+//!   run's replies come back together over an eventfd-woken queue and
+//!   leave in one `writev`. 10k mostly-idle
 //!   connections cost one thread and zero timer churn.
 //! * [`IoMode::Threads`] — the original thread-per-connection path:
 //!   each accepted socket gets an OS thread doing blocking reads with a
@@ -37,8 +40,8 @@
 //!   hot-looping;
 //! * **shutdown** — the `Shutdown` control message (or
 //!   [`ServerHandle::shutdown`]) signals an eventfd, stops the
-//!   acceptor, lets every connection finish its in-flight request,
-//!   drains the worker queue, and joins all threads.
+//!   acceptor, lets every connection finish its in-flight request (or
+//!   run), drains the worker queue, and joins all threads.
 
 use crate::cluster::{ClusterState, Route, MAX_FORWARD_HOPS, MIGRATE_REDO_MAX};
 use crate::metrics::Metrics;
@@ -64,7 +67,7 @@ use crate::poll::{
     EpollEvent, EventFd, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 #[cfg(target_os = "linux")]
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 #[cfg(target_os = "linux")]
 use std::os::unix::io::AsRawFd;
 
@@ -155,14 +158,6 @@ pub struct ServeConfig {
     pub model_cache: bool,
     /// Connection I/O mode ([`resolve_io_mode`] resolves `Auto`).
     pub io_mode: IoMode,
-    /// Batch the epoll hot path (default): drain the completion queue
-    /// in one lock acquisition per wake, coalesce completion-eventfd
-    /// signals, dispatch decoded frames to the worker pool in chunked
-    /// jobs, and defer response flushes to one `writev` scatter-gather
-    /// pass per poll iteration. Off (`--no-io-batch`) keeps the
-    /// one-at-a-time reference path for before/after measurement; the
-    /// response bytes per connection are identical either way.
-    pub io_batch: bool,
     /// Open-connection cap; accepts past it are shed with a `Busy`
     /// response (`connections.shed`). `0` reads `REPF_SERVE_MAX_CONNS`,
     /// falling back to 4096.
@@ -211,7 +206,6 @@ impl Default for ServeConfig {
             shards: 0,
             model_cache: true,
             io_mode: IoMode::Auto,
-            io_batch: true,
             max_conns: 0,
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
@@ -341,7 +335,7 @@ impl ServeState {
     /// are forwarded to their owner when that is another node; all else
     /// (and everything on an un-clustered node) runs locally.
     pub(crate) fn handle(&self, req: &Request) -> Response {
-        self.metrics.count_request(req.kind_name());
+        self.metrics.count_request(req.kind_index());
         match req {
             Request::RingGet => return self.handle_ring_get(),
             Request::RingSet {
@@ -666,7 +660,7 @@ impl ServeState {
                 };
             }
         };
-        self.metrics.count_request(inner.kind_name());
+        self.metrics.count_request(inner.kind_index());
         if let Some((session, _)) = Self::session_target(&inner) {
             if hops > 0 && !self.sessions.contains(session) {
                 if let Some(dest) = self.sessions.tombstone_of(session) {
@@ -1681,45 +1675,37 @@ fn send(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
 
 // --- epoll mode ---
 
+/// Most requests in one run, and most frames in one worker job.
+#[cfg(target_os = "linux")]
+const DISPATCH_CHUNK_MAX: usize = 32;
+
+/// One run's replies, in request order, tagged with its connection.
+#[cfg(target_os = "linux")]
+type Completion = (u64, Vec<Response>);
+
 /// Completed work handed from the worker pool back to the I/O thread:
-/// `(connection token, response)` pairs behind a mutex, with an eventfd
-/// wake so the I/O thread learns about completions while parked.
+/// one entry per run behind a mutex, with an eventfd wake so the I/O
+/// thread learns about completions while parked.
 #[cfg(target_os = "linux")]
 struct CompletionQueue {
-    done: Mutex<VecDeque<(u64, Response)>>,
+    done: Mutex<Vec<Completion>>,
     ready: EventFd,
-    /// Batched mode: signal the eventfd only on the empty→non-empty
-    /// transition. The I/O thread drains the whole queue per wake
-    /// (`drain_into`), so intermediate signals would only add spurious
-    /// `epoll_wait` round trips and eventfd syscalls.
-    coalesce_signal: bool,
 }
 
 #[cfg(target_os = "linux")]
 impl CompletionQueue {
-    fn new(coalesce_signal: bool) -> std::io::Result<Self> {
+    fn new() -> std::io::Result<Self> {
         Ok(CompletionQueue {
-            done: Mutex::new(VecDeque::new()),
+            done: Mutex::new(Vec::new()),
             ready: EventFd::new()?,
-            coalesce_signal,
         })
     }
 
-    fn push(&self, token: u64, resp: Response) {
-        let was_empty = {
-            let mut q = self.done.lock().expect("completion queue");
-            let was_empty = q.is_empty();
-            q.push_back((token, resp));
-            was_empty
-        };
-        if !self.coalesce_signal || was_empty {
-            self.ready.signal();
-        }
-    }
-
-    /// One lock acquisition and at most one eventfd signal for a whole
-    /// chunk of completions (the batched dispatch path).
-    fn push_batch(&self, items: Vec<(u64, Response)>) {
+    /// One lock acquisition for a whole job's runs, and an eventfd
+    /// signal only on the empty→non-empty transition: the I/O thread
+    /// drains the whole queue per wake (`drain_into`), so intermediate
+    /// signals would only add spurious `epoll_wait` round trips.
+    fn push_batch(&self, items: Vec<Completion>) {
         if items.is_empty() {
             return;
         }
@@ -1729,13 +1715,9 @@ impl CompletionQueue {
             q.extend(items);
             was_empty
         };
-        if !self.coalesce_signal || was_empty {
+        if was_empty {
             self.ready.signal();
         }
-    }
-
-    fn pop(&self) -> Option<(u64, Response)> {
-        self.done.lock().expect("completion queue").pop_front()
     }
 
     /// Take everything queued in one lock acquisition.
@@ -1743,9 +1725,9 @@ impl CompletionQueue {
     /// Safe with coalesced signals: a worker that pushes after this
     /// drain sees an empty queue and signals; one that pushed before it
     /// had its items taken right here.
-    fn drain_into(&self, out: &mut Vec<(u64, Response)>) {
+    fn drain_into(&self, out: &mut Vec<Completion>) {
         let mut q = self.done.lock().expect("completion queue");
-        out.extend(q.drain(..));
+        out.append(&mut q);
     }
 }
 
@@ -1783,12 +1765,11 @@ fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, t
     poller
         .add(state.wake.fd(), EPOLLIN, TOK_WAKE)
         .expect("register wake eventfd");
-    let completions = Arc::new(CompletionQueue::new(cfg.io_batch).expect("completion eventfd"));
+    let completions = Arc::new(CompletionQueue::new().expect("completion eventfd"));
     poller
         .add(completions.ready.fd(), EPOLLIN, TOK_COMPLETION)
         .expect("register completion eventfd");
 
-    let io_batch = cfg.io_batch;
     let mut lp = EpollLoop {
         state,
         cfg,
@@ -1804,7 +1785,6 @@ fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, t
         accept_backoff: ACCEPT_BACKOFF_MIN,
         accept_resume: None,
         draining: false,
-        io_batch,
         touched: Vec::new(),
         dispatch: Vec::new(),
         comp_buf: Vec::new(),
@@ -1818,6 +1798,9 @@ fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, t
 #[cfg(target_os = "linux")]
 type TimerEntry = std::cmp::Reverse<(Instant, u64)>;
 
+/// Readiness and completions only *collect* work during the event
+/// sweep; decode, pool dispatch and socket flushes run once per poll
+/// iteration in [`finish_batch`](Self::finish_batch).
 #[cfg(target_os = "linux")]
 struct EpollLoop {
     state: Arc<ServeState>,
@@ -1838,18 +1821,14 @@ struct EpollLoop {
     /// When accept errors paused the listener, the instant to resume.
     accept_resume: Option<Instant>,
     draining: bool,
-    /// Batched hot path (`ServeConfig::io_batch`): readiness and
-    /// completions only *collect* work during the event sweep; decode,
-    /// pool dispatch, and socket flushes run once per poll iteration in
-    /// [`finish_batch`](Self::finish_batch).
-    io_batch: bool,
     /// Tokens that saw activity this poll iteration (reads, completions)
     /// and still need pending-frame processing + one deferred flush.
     touched: Vec<u64>,
-    /// Decoded `(token, request)` pairs awaiting chunked pool submit.
-    dispatch: Vec<(u64, Request)>,
+    /// Runs of decoded requests, one per connection, awaiting pool
+    /// submit.
+    dispatch: Vec<(u64, Vec<Request>)>,
     /// Reused drain buffer for [`CompletionQueue::drain_into`].
-    comp_buf: Vec<(u64, Response)>,
+    comp_buf: Vec<Completion>,
     /// Latched when a pool submit fails within the current iteration:
     /// the rest of the batch answers `Busy` inline instead of retrying a
     /// queue that was full microseconds ago.
@@ -1873,19 +1852,11 @@ impl EpollLoop {
                     TOK_WAKE => {
                         self.state.wake.drain();
                     }
-                    TOK_COMPLETION => {
-                        if self.io_batch {
-                            self.completions_ready_batched(now);
-                        } else {
-                            self.completions_ready(now);
-                        }
-                    }
+                    TOK_COMPLETION => self.completions_ready(now),
                     token => self.conn_ready(token, ev.events, now),
                 }
             }
-            if self.io_batch {
-                self.finish_batch(now);
-            }
+            self.finish_batch(now);
             let now = Instant::now();
             self.fire_timers(now);
             if self.state.shutting_down.load(Ordering::SeqCst) && !self.draining {
@@ -2019,11 +1990,6 @@ impl EpollLoop {
             self.cfg.idle_timeout,
             self.cfg.write_timeout,
         );
-        if !self.io_batch {
-            // The unbatched reference path keeps the pre-batching
-            // contiguous write buffer (one coalesced `write` per flush).
-            conn.out.set_coalesce();
-        }
         if self
             .poller
             .add(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
@@ -2103,112 +2069,9 @@ impl EpollLoop {
                 }
             }
         }
-        if self.io_batch {
-            // Defer decode/dispatch/flush to `finish_batch`, once per
-            // poll iteration across every touched connection.
-            self.touched.push(token);
-        } else {
-            self.drive(token, now);
-        }
-    }
-
-    /// Dispatch as many queued frames as the in-flight rule allows, then
-    /// settle interest/timers or close.
-    fn drive(&mut self, token: u64, now: Instant) {
-        self.process_pending(token, now);
-        self.settle(token);
-    }
-
-    /// Pop pending frames in arrival order while no request from this
-    /// connection is in flight: decode, then hand compute to the pool
-    /// (one in-flight request per connection preserves response order),
-    /// answering `Busy`/`Error` inline where the threaded path would.
-    fn process_pending(&mut self, token: u64, now: Instant) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.in_flight || conn.closing || self.draining {
-                return;
-            }
-            let Some(body) = conn.pending.pop_front() else {
-                // Every complete frame that preceded a framing
-                // violation has been answered; now the Malformed error
-                // goes out and the connection hangs up.
-                if let Some(e) = conn.poison.take() {
-                    let frame = Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    }
-                    .encode();
-                    if conn.queue_frame(&frame, now).is_err() {
-                        self.close_conn(token);
-                        return;
-                    }
-                    let conn = self.conns.get_mut(&token).expect("still open");
-                    conn.closing = true;
-                }
-                return;
-            };
-            match Request::decode(&body) {
-                Ok(Request::Shutdown) => {
-                    // Inline, like the threaded path: the pressure-release
-                    // valve must work with a saturated queue. `handle`
-                    // raises the flag; the drain starts at the end of this
-                    // event batch.
-                    let resp = self.state.handle(&Request::Shutdown);
-                    let frame = resp.encode();
-                    conn.pending.clear();
-                    if conn.queue_frame(&frame, now).is_err() {
-                        self.close_conn(token);
-                        return;
-                    }
-                    let conn = self.conns.get_mut(&token).expect("still open");
-                    conn.closing = true;
-                    return;
-                }
-                Ok(req) => {
-                    if req.is_peer_kind() {
-                        conn.is_peer = true;
-                    }
-                    let st = Arc::clone(&self.state);
-                    let cq = Arc::clone(&self.completions);
-                    let job = Box::new(move || {
-                        let resp = st.handle(&req);
-                        cq.push(token, resp);
-                    });
-                    match self.pool.try_submit(job) {
-                        Ok(()) => {
-                            conn.in_flight = true;
-                            return;
-                        }
-                        Err(SubmitError::Busy) | Err(SubmitError::Closed) => {
-                            self.state.metrics.busy.fetch_add(1, Ordering::Relaxed);
-                            let frame = Response::Busy.encode();
-                            if conn.queue_frame(&frame, now).is_err() {
-                                self.close_conn(token);
-                                return;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Payload decode failure: frame boundaries are sound,
-                    // so answer and keep the connection.
-                    self.state.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                    self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    let frame = Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    }
-                    .encode();
-                    if conn.queue_frame(&frame, now).is_err() {
-                        self.close_conn(token);
-                        return;
-                    }
-                }
-            }
-        }
+        // Defer decode/dispatch/flush to `finish_batch`, once per poll
+        // iteration across every touched connection.
+        self.touched.push(token);
     }
 
     /// Reconcile a connection's epoll interest and deadline after any
@@ -2253,60 +2116,34 @@ impl EpollLoop {
         self.arm_timer(token);
     }
 
-    /// Worker-pool completions: write each response on its connection
-    /// and let the next queued frame dispatch.
+    /// Worker-pool completions: drain the eventfd once, take every
+    /// queued run in one lock acquisition, and only *queue* the reply
+    /// frames — the socket writes happen in `finish_batch`'s single
+    /// flush pass. A run's replies arrive together, so its connection
+    /// is idle again once they are queued.
     fn completions_ready(&mut self, now: Instant) {
-        self.completions.ready.drain();
-        while let Some((token, resp)) = self.completions.pop() {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue; // connection died while computing
-            };
-            conn.in_flight = false;
-            if matches!(resp, Response::Error { .. }) {
-                self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let frame = resp.encode();
-            match conn.queue_frame(&frame, now) {
-                Ok(_) => {
-                    // The response opens the wait for the next request:
-                    // restart the idle clock like the threaded path
-                    // re-entering `read_frame_polling`.
-                    conn.touch_read(now);
-                    self.drive(token, now);
-                }
-                Err(_) => self.close_conn(token),
-            }
-        }
-    }
-
-    /// Batched completion intake: drain the eventfd once, take every
-    /// queued completion in one lock acquisition, and only *queue* the
-    /// response frames — the socket writes happen in `finish_batch`'s
-    /// single flush pass.
-    fn completions_ready_batched(&mut self, now: Instant) {
         self.completions.ready.drain();
         let mut batch = std::mem::take(&mut self.comp_buf);
         self.completions.drain_into(&mut batch);
         if !batch.is_empty() {
-            self.state
-                .metrics
-                .io_batch_completion_drains
-                .fetch_add(1, Ordering::Relaxed);
-            self.state
-                .metrics
-                .io_batch_completions
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            let replies: usize = batch.iter().map(|(_, run)| run.len()).sum();
+            let m = &self.state.metrics;
+            m.io_batch_completion_drains.fetch_add(1, Ordering::Relaxed);
+            m.io_batch_completions
+                .fetch_add(replies as u64, Ordering::Relaxed);
         }
-        for (token, resp) in batch.drain(..) {
+        for (token, replies) in batch.drain(..) {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue; // connection died while computing
             };
             conn.in_flight = false;
-            if matches!(resp, Response::Error { .. }) {
-                self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            for resp in replies {
+                if matches!(resp, Response::Error { .. }) {
+                    self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                }
+                conn.out.push_frame(resp.encode());
             }
-            conn.queue_frame_deferred(resp.encode());
-            // The response opens the wait for the next request: restart
+            // The replies open the wait for the next request: restart
             // the idle clock like the threaded path re-entering
             // `read_frame_polling`.
             conn.touch_read(now);
@@ -2315,12 +2152,11 @@ impl EpollLoop {
         self.comp_buf = batch; // keep the allocation
     }
 
-    /// The once-per-poll-iteration tail of the batched hot path:
-    /// process every touched connection's pending frames (collecting
-    /// decoded requests into `dispatch`), submit the collected requests
-    /// to the pool in chunked jobs, then flush each touched connection
-    /// exactly once (a `writev` across all its queued frames) and
-    /// settle its interest/timers.
+    /// The once-per-poll-iteration tail of the event loop: process
+    /// every touched connection's pending frames (collecting runs into
+    /// `dispatch`), submit the collected runs to the pool in chunked
+    /// jobs, then flush each touched connection exactly once (a `writev`
+    /// across all its queued frames) and settle its interest/timers.
     fn finish_batch(&mut self, now: Instant) {
         if self.touched.is_empty() {
             return;
@@ -2331,47 +2167,48 @@ impl EpollLoop {
         let mut round = tokens.clone();
         loop {
             for &token in &round {
-                self.process_pending_batched(token);
+                self.process_pending(token);
             }
             if self.dispatch.is_empty() {
                 break;
             }
-            let batch = std::mem::take(&mut self.dispatch);
-            // Tokens whose submit failed got a Busy answer and cleared
-            // `in_flight`; their next pending frame (if any) still needs
-            // processing, so they loop back around — with `pool_full`
-            // latched, the whole backlog drains as inline Busy.
-            round = self.submit_dispatch(batch);
+            let runs = std::mem::take(&mut self.dispatch);
+            // Tokens whose submit failed got a Busy answer per frame and
+            // cleared `in_flight`; their next pending frame (if any)
+            // still needs processing, so they loop back around — with
+            // `pool_full` latched, the whole backlog drains as inline
+            // Busy.
+            round = self.submit_dispatch(runs);
             if round.is_empty() {
                 break;
             }
         }
         for &token in &tokens {
-            self.flush_batched(token, now);
+            self.flush_conn(token, now);
         }
         self.pool_full = false;
     }
 
-    /// `process_pending`, batched flavor: identical per-connection
-    /// semantics (arrival order, one in-flight request per connection,
-    /// inline Shutdown/Busy/Malformed), but decoded requests are
-    /// *collected* for chunked pool submission instead of submitted one
-    /// job each, and response frames are queued deferred instead of
-    /// flushed inline.
-    fn process_pending_batched(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.in_flight || conn.closing || self.draining {
-                return;
-            }
-            let Some(body) = conn.pending.pop_front() else {
-                // Every complete frame that preceded a framing violation
-                // has been answered; now the Malformed error goes out
-                // and the connection hangs up.
-                if let Some(e) = conn.poison.take() {
-                    conn.queue_frame_deferred(
+    /// Take the connection's next run off `pending` while nothing from
+    /// it is in flight, answering inline what never reaches the pool.
+    /// A run is every consecutive complete frame that decodes to a
+    /// request other than `Shutdown`, up to [`DISPATCH_CHUNK_MAX`]; it
+    /// runs in arrival order inside one worker job, so reply order per
+    /// connection holds at any pool width. A `Shutdown` or undecodable
+    /// frame ends the run and is answered in its own slot once the
+    /// run's replies are back.
+    fn process_pending(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let mut run = Vec::new();
+        while !conn.in_flight && !conn.closing && !self.draining {
+            let Some(body) = conn.pending.front() else {
+                // Once every complete frame ahead of a framing violation
+                // has been answered (no run is being built), the
+                // Malformed error goes out and the connection hangs up.
+                if let Some(e) = conn.poison.take_if(|_| run.is_empty()) {
+                    conn.out.push_frame(
                         Response::Error {
                             code: ErrorCode::Malformed,
                             message: e.to_string(),
@@ -2380,40 +2217,40 @@ impl EpollLoop {
                     );
                     conn.closing = true;
                 }
-                return;
+                break;
             };
-            match Request::decode(&body) {
+            match Request::decode(body) {
+                // Answered after the run: this frame waits in `pending`.
+                Ok(Request::Shutdown) | Err(_) if !run.is_empty() => break,
                 Ok(Request::Shutdown) => {
-                    // Inline, like the unbatched path: the
-                    // pressure-release valve must work with a saturated
-                    // queue. `handle` raises the flag; the drain starts
-                    // at the end of this poll iteration.
+                    // Inline: the pressure-release valve must work with a
+                    // saturated queue. `handle` raises the flag; the
+                    // drain starts at the end of this poll iteration.
                     let resp = self.state.handle(&Request::Shutdown);
-                    let conn = self.conns.get_mut(&token).expect("still open");
                     conn.pending.clear();
-                    conn.queue_frame_deferred(resp.encode());
+                    conn.out.push_frame(resp.encode());
                     conn.closing = true;
-                    return;
                 }
                 Ok(req) => {
-                    if req.is_peer_kind() {
-                        conn.is_peer = true;
-                    }
+                    conn.pending.pop_front();
+                    conn.is_peer |= req.is_peer_kind();
                     if self.pool_full {
                         self.state.metrics.busy.fetch_add(1, Ordering::Relaxed);
-                        conn.queue_frame_deferred(Response::Busy.encode());
+                        conn.out.push_frame(Response::Busy.encode());
                     } else {
-                        self.dispatch.push((token, req));
-                        conn.in_flight = true;
-                        return;
+                        run.push(req);
+                        if run.len() == DISPATCH_CHUNK_MAX {
+                            break;
+                        }
                     }
                 }
                 Err(e) => {
                     // Payload decode failure: frame boundaries are
                     // sound, so answer and keep the connection.
+                    conn.pending.pop_front();
                     self.state.metrics.malformed.fetch_add(1, Ordering::Relaxed);
                     self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.queue_frame_deferred(
+                    conn.out.push_frame(
                         Response::Error {
                             code: ErrorCode::Malformed,
                             message: e.to_string(),
@@ -2423,69 +2260,75 @@ impl EpollLoop {
                 }
             }
         }
+        if !run.is_empty() {
+            conn.in_flight = true;
+            self.dispatch.push((token, run));
+        }
     }
 
-    /// Submit the collected dispatch batch as chunked worker-pool jobs:
-    /// each job runs a slice of requests serially and pushes its
-    /// responses back as one `push_batch` (one completion-queue lock,
-    /// at most one eventfd signal). Chunk size adapts — one request per
-    /// job at low load (no added latency), up to `DISPATCH_CHUNK_MAX`
-    /// per job under burst (amortized submit/wake overhead).
+    /// Submit the collected runs as worker-pool jobs: each job handles
+    /// whole runs serially and pushes their replies back as one
+    /// `push_batch` (one completion-queue lock, at most one eventfd
+    /// signal). A run is never split, so two jobs on different workers
+    /// can never reorder one connection's replies. Job size adapts — one
+    /// run per job at low load, runs packed up to `DISPATCH_CHUNK_MAX`
+    /// frames per job under a burst of short runs.
     ///
-    /// Returns the tokens whose requests could not be enqueued: their
-    /// connections were answered `Busy` and cleared `in_flight`, and the
-    /// caller loops them through `process_pending_batched` again so the
-    /// rest of their backlog drains.
-    fn submit_dispatch(&mut self, batch: Vec<(u64, Request)>) -> Vec<u64> {
-        const DISPATCH_CHUNK_MAX: usize = 32;
-        let chunk_size = batch
-            .len()
+    /// Returns the tokens whose runs could not be enqueued: their
+    /// connections were answered `Busy` once per frame, in order, and
+    /// cleared `in_flight`, and the caller loops them through
+    /// `process_pending` again so the rest of their backlog drains.
+    fn submit_dispatch(&mut self, runs: Vec<(u64, Vec<Request>)>) -> Vec<u64> {
+        let frames: usize = runs.iter().map(|(_, run)| run.len()).sum();
+        let job_frames = frames
             .div_ceil(self.pool.threads().max(1))
             .clamp(1, DISPATCH_CHUNK_MAX);
         let mut retry: Vec<u64> = Vec::new();
-        let mut it = batch.into_iter();
-        loop {
-            let chunk: Vec<(u64, Request)> = it.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
+        let mut it = runs.into_iter().peekable();
+        while let Some(first) = it.next() {
+            let mut n = first.1.len();
+            let mut job = vec![first];
+            while let Some(next) = it.next_if(|(_, run)| n + run.len() <= job_frames) {
+                n += next.1.len();
+                job.push(next);
             }
-            let tokens: Vec<u64> = chunk.iter().map(|(t, _)| *t).collect();
+            let shape: Vec<(u64, usize)> = job.iter().map(|(t, run)| (*t, run.len())).collect();
             if !self.pool_full {
                 let st = Arc::clone(&self.state);
                 let cq = Arc::clone(&self.completions);
-                let n = chunk.len();
-                let job = Box::new(move || {
-                    let mut done = Vec::with_capacity(n);
-                    for (token, req) in chunk {
-                        done.push((token, st.handle(&req)));
-                    }
+                let work = Box::new(move || {
+                    let done = job
+                        .into_iter()
+                        .map(|(token, run)| (token, run.iter().map(|req| st.handle(req)).collect()))
+                        .collect();
                     cq.push_batch(done);
                 });
-                match self.pool.try_submit(job) {
+                match self.pool.try_submit(work) {
                     Ok(()) => {
-                        self.state
-                            .metrics
-                            .io_batch_dispatch_jobs
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.state
-                            .metrics
-                            .io_batch_dispatch_frames
+                        let m = &self.state.metrics;
+                        m.io_batch_dispatch_jobs.fetch_add(1, Ordering::Relaxed);
+                        m.io_batch_dispatch_frames
                             .fetch_add(n as u64, Ordering::Relaxed);
                         continue;
                     }
                     Err(SubmitError::Busy) | Err(SubmitError::Closed) => {
                         self.pool_full = true;
-                        // fall through: answer this chunk Busy below
+                        // fall through: answer this job Busy below
                     }
                 }
             }
-            for token in tokens {
-                self.state.metrics.busy.fetch_add(1, Ordering::Relaxed);
+            for (token, len) in shape {
+                self.state
+                    .metrics
+                    .busy
+                    .fetch_add(len as u64, Ordering::Relaxed);
                 let Some(conn) = self.conns.get_mut(&token) else {
                     continue;
                 };
                 conn.in_flight = false;
-                conn.queue_frame_deferred(Response::Busy.encode());
+                for _ in 0..len {
+                    conn.out.push_frame(Response::Busy.encode());
+                }
                 retry.push(token);
             }
         }
@@ -2494,7 +2337,7 @@ impl EpollLoop {
 
     /// One deferred flush per touched connection per poll iteration: a
     /// single `writev` covers every frame queued for it this round.
-    fn flush_batched(&mut self, token: u64, now: Instant) {
+    fn flush_conn(&mut self, token: u64, now: Instant) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -2516,8 +2359,8 @@ impl EpollLoop {
         self.settle(token);
     }
 
-    /// Enter the drain: stop accepting, finish in-flight requests,
-    /// flush, close. Runs once.
+    /// Enter the drain: stop accepting, finish in-flight runs, flush,
+    /// close. Runs once.
     fn begin_drain(&mut self) {
         self.draining = true;
         if self.accepting {

@@ -12,12 +12,12 @@ use repf_sampling::{Profile, ReuseSample, StrideSample};
 use repf_serve::proto::{self, Request, Response};
 use repf_serve::{
     generate_trace, replay_spawned, start, Client, GenConfig, IoMode, MachineId, ReplayConfig,
-    ServeConfig, Target,
+    Ring, ServeConfig, Target, DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
 use repf_statstack::StatStackModel;
 use repf_trace::{AccessKind, Pc};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 const SIZES: [u64; 4] = [32 << 10, 256 << 10, 1 << 20, 8 << 20];
@@ -74,6 +74,19 @@ fn stat(stats: &[(String, f64)], key: &str) -> f64 {
         .find(|(k, _)| k == key)
         .unwrap_or_else(|| panic!("missing stat {key}"))
         .1
+}
+
+/// A raw connection for hand-written frames, with a read timeout.
+fn raw_conn(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s
+}
+
+/// Read and decode the next reply frame.
+fn next_reply(s: &mut TcpStream) -> Response {
+    let body = proto::read_frame(s).unwrap().expect("reply frame");
+    Response::decode(&body).unwrap()
 }
 
 /// A peer that starts a frame and stalls (slow loris) is evicted after
@@ -148,12 +161,9 @@ fn slow_loris_partial_frames_are_evicted() {
 /// Pipelined requests on one connection: the client writes a burst of
 /// MRC queries with large size lists before reading anything, so the
 /// server's responses overrun the socket buffer and must be buffered,
-/// partially written, and resumed via write-readiness — in request
-/// order, bit-identical to the direct model. Runs against both the
-/// batched hot path (deferred `writev` flushes resuming mid-frame,
-/// mid-iovec) and the unbatched reference (contiguous buffer), so the
-/// two are byte-identical under exactly the partial-write pressure that
-/// could tell them apart.
+/// partially written, and resumed via write-readiness (deferred `writev`
+/// flushes resuming mid-frame, mid-iovec) — in request order,
+/// bit-identical to the direct model.
 #[test]
 fn pipelined_queries_survive_partial_writes_in_order() {
     const BURST: usize = 64;
@@ -163,77 +173,139 @@ fn pipelined_queries_survive_partial_writes_in_order() {
     let sizes: Vec<u64> = (0..NSIZES).map(|i| 4096 + i * 640).collect();
     let want: Vec<f64> = sizes.iter().map(|&b| model.miss_ratio_bytes(b)).collect();
 
-    for io_batch in [true, false] {
-        let handle = start(ServeConfig {
-            io_batch,
-            ..epoll_config()
-        })
-        .expect("server starts");
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        raw.set_nodelay(true).unwrap();
+    let handle = start(epoll_config()).expect("server starts");
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    raw.set_nodelay(true).unwrap();
 
-        // Submit the session on the same connection.
-        let submit = Request::Submit {
-            session: "pipe".into(),
-            batch: proto::SampleBatch::from_profile(&profile),
-        };
-        proto::write_frame(&mut raw, &submit.encode()).unwrap();
-        let body = proto::read_frame(&mut raw).unwrap().expect("accepted");
-        assert!(matches!(
-            Response::decode(&body).unwrap(),
-            Response::Accepted { .. }
-        ));
+    // Submit the session on the same connection.
+    let submit = Request::Submit {
+        session: "pipe".into(),
+        batch: proto::SampleBatch::from_profile(&profile),
+    };
+    proto::write_frame(&mut raw, &submit.encode()).unwrap();
+    let body = proto::read_frame(&mut raw).unwrap().expect("accepted");
+    assert!(matches!(
+        Response::decode(&body).unwrap(),
+        Response::Accepted { .. }
+    ));
 
-        // Burst: ~BURST * NSIZES * 8 B of responses (≈2.5 MB) queue up
-        // behind a reader that hasn't started yet.
-        let query = Request::QueryMrc {
-            target: Target::Session("pipe".into()),
-            sizes_bytes: sizes.clone(),
-        };
-        let frame = query.encode();
-        for _ in 0..BURST {
-            proto::write_frame(&mut raw, &frame).unwrap();
-        }
-
-        for i in 0..BURST {
-            let body = proto::read_frame(&mut raw)
-                .unwrap()
-                .unwrap_or_else(|| panic!("response {i} missing (io_batch {io_batch})"));
-            match Response::decode(&body).unwrap() {
-                Response::Mrc { ratios } => {
-                    assert_eq!(ratios.len(), want.len(), "response {i} length");
-                    for (j, (g, w)) in ratios.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "response {i} ratio {j} (io_batch {io_batch})"
-                        );
-                    }
-                }
-                other => panic!("response {i}: want Mrc, got {other:?}"),
-            }
-        }
-
-        // The batched path must actually have batched (deferred flushes
-        // observed); the unbatched reference must never touch it.
-        let mut c = Client::connect(handle.addr()).unwrap();
-        let stats = c.stats().unwrap();
-        if io_batch {
-            assert!(
-                stat(&stats, "io.batch.flushes") > 0.0,
-                "batched path recorded no deferred flushes"
-            );
-        } else {
-            assert_eq!(
-                stat(&stats, "io.batch.flushes"),
-                0.0,
-                "unbatched path must not take the deferred-flush path"
-            );
-        }
-        c.shutdown_server().unwrap();
-        handle.join();
+    // Burst: ~BURST * NSIZES * 8 B of responses (≈2.5 MB) queue up
+    // behind a reader that hasn't started yet.
+    let query = Request::QueryMrc {
+        target: Target::Session("pipe".into()),
+        sizes_bytes: sizes.clone(),
+    };
+    let frame = query.encode();
+    for _ in 0..BURST {
+        proto::write_frame(&mut raw, &frame).unwrap();
     }
+
+    for i in 0..BURST {
+        let body = proto::read_frame(&mut raw)
+            .unwrap()
+            .unwrap_or_else(|| panic!("response {i} missing"));
+        match Response::decode(&body).unwrap() {
+            Response::Mrc { ratios } => {
+                assert_eq!(ratios.len(), want.len(), "response {i} length");
+                for (j, (g, w)) in ratios.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "response {i} ratio {j}");
+                }
+            }
+            other => panic!("response {i}: want Mrc, got {other:?}"),
+        }
+    }
+
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let stats = c.stats().unwrap();
+    assert!(
+        stat(&stats, "io.batch.flushes") > 0.0,
+        "no deferred flushes recorded"
+    );
+    c.shutdown_server().unwrap();
+    handle.join();
+}
+
+/// One connection pipelines five frames in a single write against a
+/// four-worker daemon. The frames ahead of the undecodable one leave as
+/// one run and the two after it as another, so replies stay in request
+/// order even though the runs may land on different workers, the bad
+/// frame is answered `Malformed` in its own slot, and a job carries more
+/// than one frame.
+#[test]
+fn pipelined_runs_answer_in_order_around_a_bad_frame() {
+    let handle = start(ServeConfig {
+        threads: 4,
+        ..epoll_config()
+    })
+    .expect("server starts");
+    // Small enough that all five frames land in one read.
+    let mut profile = synthetic_profile();
+    profile.reuse.truncate(40);
+    profile.strides.truncate(20);
+    let submit = Request::Submit {
+        session: "s".into(),
+        batch: proto::SampleBatch::from_profile(&profile),
+    };
+    let mrc = Request::QueryMrc {
+        target: Target::Session("s".into()),
+        sizes_bytes: SIZES.to_vec(),
+    };
+    let pc_mrc = Request::QueryPcMrc {
+        target: Target::Session("s".into()),
+        pc: 100,
+        sizes_bytes: SIZES.to_vec(),
+    };
+    // A valid length prefix around a payload no request decodes from.
+    let bad = vec![3, 0, 0, 0, proto::PROTO_VERSION, 0x7F, 0];
+    let frames = [
+        submit.encode(),
+        mrc.encode(),
+        bad,
+        pc_mrc.encode(),
+        Request::Ping.encode(),
+    ];
+    let mut raw = raw_conn(handle.addr());
+    raw.write_all(&frames.concat()).unwrap();
+    let replies: Vec<Response> = (0..5).map(|_| next_reply(&mut raw)).collect();
+
+    let model = StatStackModel::from_profile(&profile);
+    let direct = Response::Mrc {
+        ratios: SIZES.iter().map(|&b| model.miss_ratio_bytes(b)).collect(),
+    };
+    assert!(
+        matches!(replies[0], Response::Accepted { .. }),
+        "{replies:?}"
+    );
+    assert_eq!(
+        replies[1].encode(),
+        direct.encode(),
+        "MRC bit-equal to a direct fit"
+    );
+    assert!(
+        matches!(
+            replies[2],
+            Response::Error {
+                code: proto::ErrorCode::Malformed,
+                ..
+            }
+        ),
+        "{replies:?}"
+    );
+    assert!(
+        matches!(replies[3], Response::PcMrc { ratios: Some(_) }),
+        "{replies:?}"
+    );
+    assert_eq!(replies[4], Response::Pong);
+
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let stats = c.stats().unwrap();
+    assert!(
+        stat(&stats, "io.batch.dispatch_frames") > stat(&stats, "io.batch.dispatch_jobs"),
+        "no job carried more than one frame"
+    );
+    c.shutdown_server().unwrap();
+    handle.join();
 }
 
 /// Regression (timer livelock): a connection whose idle/read deadline
@@ -453,9 +525,68 @@ fn idle_connections_do_not_perturb_active_traffic() {
     threads.join();
 }
 
-/// The replay digest is invariant across node counts, io modes AND the
-/// batched/unbatched epoll hot path: batching changes scheduling and
-/// write grouping, never bytes.
+/// A full pool answers every frame of a run `Busy`, in order. The one
+/// worker is held inside a forward to a peer that takes the frame and
+/// never answers, and a second connection's ping fills the one-deep
+/// queue; a third connection's run of 32 pings then finds no room.
+#[test]
+fn full_pool_answers_every_frame_of_a_run_busy() {
+    let handle = start(ServeConfig {
+        threads: 1,
+        queue_depth: 1,
+        ..epoll_config()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+    let stuck = TcpListener::bind("127.0.0.1:0").unwrap();
+    let nodes = vec![addr.to_string(), stuck.local_addr().unwrap().to_string()];
+    let mut admin = Client::connect(addr).unwrap();
+    let ring_set = Request::RingSet {
+        epoch: 1,
+        seed: DEFAULT_RING_SEED,
+        vnodes: DEFAULT_VNODES,
+        nodes: nodes.clone(),
+    };
+    admin.call_any(&ring_set).expect("ring installed");
+    let ring = Ring::new(DEFAULT_RING_SEED, DEFAULT_VNODES, nodes.clone());
+    let remote = (0..)
+        .map(|i| format!("remote-{i}"))
+        .find(|n| ring.owner(n) == Some(nodes[1].as_str()))
+        .unwrap();
+
+    let mut held = raw_conn(addr);
+    let query = Request::QueryMrc {
+        target: Target::Session(remote),
+        sizes_bytes: SIZES.to_vec(),
+    };
+    held.write_all(&query.encode()).unwrap();
+    // Once the forwarded frame reaches the peer, the worker is waiting
+    // on a reply that never comes.
+    let (mut peer, _) = stuck.accept().unwrap();
+    proto::read_frame(&mut peer)
+        .unwrap()
+        .expect("forwarded frame");
+    let mut queued = raw_conn(addr);
+    queued.write_all(&Request::Ping.encode()).unwrap();
+    let mut refused = raw_conn(addr);
+    refused
+        .write_all(&Request::Ping.encode().repeat(32))
+        .unwrap();
+    for i in 0..32 {
+        assert_eq!(next_reply(&mut refused), Response::Busy, "reply {i}");
+    }
+
+    // Release the worker: the forward fails, then the queued ping runs.
+    drop((peer, stuck));
+    assert!(matches!(next_reply(&mut held), Response::Error { .. }));
+    assert_eq!(next_reply(&mut queued), Response::Pong);
+    assert_eq!(stat(&admin.stats().unwrap(), "busy"), 32.0);
+    admin.shutdown_server().unwrap();
+    handle.join();
+}
+
+/// The replay digest is invariant across node counts and io modes: the
+/// event loop changes scheduling and write grouping, never bytes.
 #[test]
 fn replay_digest_matches_across_modes_and_node_counts() {
     let trace = generate_trace(&GenConfig {
@@ -472,24 +603,12 @@ fn replay_digest_matches_across_modes_and_node_counts() {
 
     let e1 = replay_spawned(1, &trace, &mk(IoMode::Epoll), &rcfg).expect("epoll n=1");
     let e3 = replay_spawned(3, &trace, &mk(IoMode::Epoll), &rcfg).expect("epoll n=3");
-    let u1 = replay_spawned(
-        1,
-        &trace,
-        &ServeConfig {
-            io_batch: false,
-            ..mk(IoMode::Epoll)
-        },
-        &rcfg,
-    )
-    .expect("unbatched epoll n=1");
     let t1 = replay_spawned(1, &trace, &mk(IoMode::Threads), &rcfg).expect("threads n=1");
 
     assert!(e1.is_clean(), "epoll n=1 diverged: {:?}", e1.divergences);
     assert!(e3.is_clean(), "epoll n=3 diverged: {:?}", e3.divergences);
-    assert!(u1.is_clean(), "unbatched epoll diverged: {:?}", u1.divergences);
     assert!(t1.is_clean(), "threads n=1 diverged: {:?}", t1.divergences);
     assert_eq!(e1.digest, e3.digest, "digest must not depend on node count");
-    assert_eq!(e1.digest, u1.digest, "digest must not depend on io batching");
     assert_eq!(e1.digest, t1.digest, "digest must not depend on io mode");
 }
 

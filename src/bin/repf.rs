@@ -56,7 +56,6 @@ struct Args {
     store_policy: Option<StorePolicy>,
     model_cache: bool,
     io_mode: IoMode,
-    io_batch: bool,
     max_conns: usize,
     out: Option<String>,
     trace: Option<String>,
@@ -137,7 +136,7 @@ report per-app speedups, throughput and traffic deltas.",
 usage: repf serve [--addr HOST:PORT] [--threads N] [--queue N]
                   [--budget-mb N] [--shards N] [--store-policy P]
                   [--no-model-cache]
-                  [--io-mode threads|epoll] [--no-io-batch]
+                  [--io-mode threads|epoll]
                   [--max-conns N] [--scale F]
                   [--peers H:P[,H:P...]] [--advertise H:P]
                   [--ring-seed N] [--vnodes N]
@@ -162,10 +161,6 @@ control message. The bound address is printed on the first stdout line
                  for all sockets (default on Linux), `threads` = one OS
                  thread per connection (reference path; default elsewhere).
                  Also: REPF_SERVE_IO_MODE
-  --no-io-batch  disable the batched epoll hot path (coalesced completion
-                 drains, chunked pool dispatch, one writev flush pass per
-                 poll iteration) — the unbatched reference for
-                 before/after measurement; response bytes are identical
   --max-conns N  open-connection cap; accepts past it are shed with Busy
                  (default: REPF_SERVE_MAX_CONNS or 4096)
   --scale F      refs scale for server-side benchmark profiling (default 0.05)
@@ -389,7 +384,6 @@ fn parse_args() -> Args {
     let mut store_policy = None;
     let mut model_cache = true;
     let mut io_mode = IoMode::Auto;
-    let mut io_batch = true;
     let mut max_conns = 0;
     let mut out = None;
     let mut trace = None;
@@ -506,7 +500,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--no-io-batch" => io_batch = false,
             "--max-conns" => {
                 max_conns =
                     it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage_err(cmd))
@@ -680,7 +673,6 @@ fn parse_args() -> Args {
         store_policy,
         model_cache,
         io_mode,
-        io_batch,
         max_conns,
         out,
         trace,
@@ -868,7 +860,6 @@ fn cmd_serve(a: &Args) {
         store_policy: a.store_policy,
         model_cache: a.model_cache,
         io_mode: a.io_mode,
-        io_batch: a.io_batch,
         max_conns: a.max_conns,
         refs_scale: a.scale,
         peers: a.peers.clone(),
