@@ -334,7 +334,7 @@ impl ServeState {
     /// handlers; session-addressed client requests consult the ring and
     /// are forwarded to their owner when that is another node; all else
     /// (and everything on an un-clustered node) runs locally.
-    pub(crate) fn handle(&self, req: &Request) -> Response {
+    pub(crate) fn handle(&self, mut req: Request) -> Response {
         self.metrics.count_request(req.kind_index());
         match req {
             Request::RingGet => return self.handle_ring_get(),
@@ -343,51 +343,57 @@ impl ServeState {
                 seed,
                 vnodes,
                 nodes,
-            } => return self.handle_ring_set(*epoch, *seed, *vnodes, nodes),
-            Request::PeerForward { hops, frame } => return self.handle_peer_forward(*hops, frame),
+            } => return self.handle_ring_set(epoch, seed, vnodes, &nodes),
+            Request::PeerForward { hops, frame } => return self.handle_peer_forward(hops, &frame),
             Request::SessionImport {
                 session,
                 version,
                 batch,
                 model,
-            } => return self.handle_session_import(session, *version, batch, model),
+            } => return self.handle_session_import(&session, version, batch, model),
             Request::ModelPull { session, version } => {
-                return self.handle_model_pull(session, *version)
+                return self.handle_model_pull(&session, version)
             }
             Request::ModelPullCurrent {
                 session,
                 cached_version,
-            } => return self.handle_model_pull_current(session, *cached_version),
+            } => return self.handle_model_pull_current(&session, cached_version),
             _ => {}
         }
-        if let Some((session, is_submit)) = Self::session_target(req) {
+        if let Some((session, is_submit)) = Self::session_target(&req) {
             match self.cluster.route(session, is_submit, &self.sessions) {
-                Route::Forward(dest) => return self.forward(&dest, req),
+                Route::Forward(dest) => return self.forward(&dest, &req),
                 Route::Local => {
-                    let resp = self.handle_local(req);
+                    let resp = self.handle_local(&mut req);
                     // Routing said local but the session migrated away
                     // between the check and the handler (a ring change
                     // raced us): chase the tombstone it left behind
-                    // instead of answering "unknown session".
+                    // instead of answering "unknown session". A submit
+                    // creates its session, so it never gets here with
+                    // its batch already taken.
                     if Self::is_unknown_session(&resp) {
-                        if let Some(dest) = self.sessions.tombstone_of(session) {
-                            return self.forward(&dest, req);
+                        let session = Self::session_target(&req).map(|(s, _)| s);
+                        if let Some(dest) = session.and_then(|s| self.sessions.tombstone_of(s)) {
+                            return self.forward(&dest, &req);
                         }
                     }
                     return resp;
                 }
             }
         }
-        self.handle_local(req)
+        self.handle_local(&mut req)
     }
 
     /// Execute one request on this node, no routing. Forwarded peer
     /// frames land here too, so this must never re-forward — that is
-    /// what makes forwarding loop-free.
-    fn handle_local(&self, req: &Request) -> Response {
+    /// what makes forwarding loop-free. A submit moves its batch out of
+    /// `req` into the store, leaving an empty batch behind.
+    fn handle_local(&self, req: &mut Request) -> Response {
         match req {
             Request::Ping => Response::Pong,
-            Request::Submit { session, batch } => self.handle_submit(session, batch),
+            Request::Submit { session, batch } => {
+                self.handle_submit(session, std::mem::take(batch))
+            }
             Request::QueryMrc {
                 target,
                 sizes_bytes,
@@ -643,7 +649,7 @@ impl ServeState {
         self.metrics
             .cluster_peer_requests
             .fetch_add(1, Ordering::Relaxed);
-        let inner = match Request::decode(frame) {
+        let mut inner = match Request::decode(frame) {
             Ok(Request::PeerForward { .. }) => {
                 self.metrics.malformed.fetch_add(1, Ordering::Relaxed);
                 return Response::Error {
@@ -668,7 +674,7 @@ impl ServeState {
                 }
             }
         }
-        let resp = self.handle_local(&inner);
+        let resp = self.handle_local(&mut inner);
         if hops > 0 && Self::is_unknown_session(&resp) {
             if let Some((session, _)) = Self::session_target(&inner) {
                 if let Some(dest) = self.sessions.tombstone_of(session) {
@@ -686,14 +692,12 @@ impl ServeState {
         &self,
         session: &str,
         version: u64,
-        batch: &SampleBatch,
-        model: &Option<ModelWire>,
+        batch: SampleBatch,
+        model: Option<ModelWire>,
     ) -> Response {
-        let model = model
-            .as_ref()
-            .map(|w| Arc::new(StatStackModel::from_parts(w.to_parts())));
+        let model = model.map(|w| Arc::new(StatStackModel::from_parts(w.to_parts())));
         let had_model = model.is_some();
-        match self.sessions.import(session, version, batch.clone(), model) {
+        match self.sessions.import(session, version, batch, model) {
             Ok(o) => {
                 self.metrics
                     .evictions
@@ -874,9 +878,9 @@ impl ServeState {
         resp
     }
 
-    fn handle_submit(&self, session: &str, batch: &SampleBatch) -> Response {
+    fn handle_submit(&self, session: &str, batch: SampleBatch) -> Response {
         let start = Instant::now();
-        let out = self.sessions.submit(session, batch.clone());
+        let out = self.sessions.submit(session, batch);
         self.metrics
             .submit_latency
             .record_us(start.elapsed().as_micros() as u64);
@@ -1593,7 +1597,7 @@ fn serve_connection(
                         // saturated — it is the pressure-release valve.
                         // `handle` raises the flag and signals the wake
                         // eventfd, so the acceptor unparks by itself.
-                        let resp = state.handle(&Request::Shutdown);
+                        let resp = state.handle(Request::Shutdown);
                         send(&mut writer, &resp)?;
                         #[cfg(not(target_os = "linux"))]
                         if let Ok(addr) = writer.local_addr() {
@@ -1646,7 +1650,7 @@ fn dispatch(state: &Arc<ServeState>, pool: &WorkerPool, req: Request) -> Respons
     let (tx, rx) = mpsc::channel::<Response>();
     let st = Arc::clone(state);
     let job = Box::new(move || {
-        let resp = st.handle(&req);
+        let resp = st.handle(req);
         let _ = tx.send(resp);
     });
     match pool.try_submit(job) {
@@ -2226,7 +2230,7 @@ impl EpollLoop {
                     // Inline: the pressure-release valve must work with a
                     // saturated queue. `handle` raises the flag; the
                     // drain starts at the end of this poll iteration.
-                    let resp = self.state.handle(&Request::Shutdown);
+                    let resp = self.state.handle(Request::Shutdown);
                     conn.pending.clear();
                     conn.out.push_frame(resp.encode());
                     conn.closing = true;
@@ -2299,7 +2303,9 @@ impl EpollLoop {
                 let work = Box::new(move || {
                     let done = job
                         .into_iter()
-                        .map(|(token, run)| (token, run.iter().map(|req| st.handle(req)).collect()))
+                        .map(|(token, run)| {
+                            (token, run.into_iter().map(|req| st.handle(req)).collect())
+                        })
                         .collect();
                     cq.push_batch(done);
                 });

@@ -34,17 +34,21 @@
 //!
 //! Model caching: every submit bumps the session's version; a query
 //! either reuses the cached [`Arc<StatStackModel>`] (version match — no
-//! fit at all) or folds the batches submitted since the last fit into the
-//! previous model via the incremental [`StatStackBuilder`] merge path and
-//! publishes the result. Either way the caller gets an `Arc` it can
-//! evaluate *after* releasing the shard lock.
+//! fit at all) or folds the samples submitted since the last fit into
+//! the previous model with [`StatStackModel::extend`] and publishes the
+//! result. The refit shares the previous model's large base level and
+//! rebuilds only its small delta (about `4√n` of an `n`-sample history),
+//! so it costs `O(new samples · √n)` amortized, not `O(n)`. Either way
+//! the caller gets an `Arc` it can evaluate *after* releasing the shard
+//! lock.
 //!
 //! Budget accounting covers the client-submitted sample data (profile
 //! vectors). The derived fitting state is bounded by a small constant
-//! factor of the same data — pending sorted runs are cleared on every
-//! fit, and a cached model holds one `u64` per reuse sample (plus per-PC
-//! copies) — and is dropped with the entry on eviction, so the aggregate
-//! stays proportional to the configured budget.
+//! factor of the same data — the pending [`StatStackBuilder`] is cleared
+//! on every fit, and a cached model holds two `u64`s per reuse sample
+//! (distance and prefix sum) plus one per-PC copy — and is dropped with
+//! the entry on eviction, so the aggregate stays proportional to the
+//! configured budget.
 
 use crate::proto::SampleBatch;
 use crate::tinylfu::{AccessBuffer, TinyLfu};
@@ -132,7 +136,7 @@ struct SessionEntry {
     /// W-TinyLFU segment membership (always `Window` under LRU).
     segment: Segment,
     profile: Profile,
-    /// Batches submitted since the last fit, as mergeable sorted runs.
+    /// Samples submitted since the last fit.
     pending: StatStackBuilder,
     /// Bumped on every submit; a cached fit is valid iff its version
     /// matches.
@@ -574,10 +578,10 @@ impl SessionStore {
     }
 
     /// A fitted model of `name`'s profile, refreshing recency. Returns
-    /// the model and whether it was a cache hit. On a miss the batches
+    /// the model and whether it was a cache hit. On a miss the samples
     /// submitted since the last fit are folded into the previous model
-    /// through the incremental merge path (first fit: from the pending
-    /// runs alone) and the result is published for later queries.
+    /// with [`StatStackModel::extend`] (first fit: from the pending
+    /// samples alone) and the result is published for later queries.
     pub fn model(&mut self, name: &str) -> Option<(Arc<StatStackModel>, bool)> {
         let ix = self.index_of(name)?;
         self.touch(ix);

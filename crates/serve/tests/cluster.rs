@@ -5,7 +5,7 @@
 use repf_sampling::ReuseSample;
 use repf_serve::{
     apply_membership, generate_trace, replay_against, replay_clustered, replay_spawned, start,
-    ChurnEvent, Client, GenConfig, LogHisto, ReplayConfig, RingChange, RingSpec, SampleBatch,
+    ChurnEvent, Client, GenConfig, LogHisto, ReplayConfig, Ring, RingChange, RingSpec, SampleBatch,
     ServeConfig, Target, DEFAULT_VNODES,
 };
 use repf_trace::{AccessKind, Pc};
@@ -261,8 +261,15 @@ fn corun_pulls_cache_remote_models_instead_of_refetching() {
     )
     .expect("install ring");
 
-    // Submit 8 sessions through node A; ownership spreads over the ring.
-    let sessions: Vec<String> = (0..8).map(|i| format!("corun-s{i}")).collect();
+    // Submit 8 sessions through node A: four it owns and four owned by
+    // its peers, picked from the installed ring because the daemons'
+    // ephemeral ports decide who owns which name.
+    let ring = Ring::new(7, DEFAULT_VNODES, members.clone());
+    let owned_by_a = |s: &String| ring.owner(s) == Some(members[0].as_str());
+    let names = (0..).map(|i| format!("corun-s{i}"));
+    let local: Vec<String> = names.clone().filter(owned_by_a).take(4).collect();
+    let remote: Vec<String> = names.filter(|s| !owned_by_a(s)).take(4).collect();
+    let sessions: Vec<String> = local.into_iter().chain(remote).collect();
     let mut ca = Client::connect(nodes[0].addr()).expect("connect a");
     for (i, s) in sessions.iter().enumerate() {
         ca.submit_batch(s, batch(i as u64)).expect("submit");
@@ -278,11 +285,7 @@ fn corun_pulls_cache_remote_models_instead_of_refetching() {
     assert_eq!(tp.len(), sizes.len());
     let after_first = hits(&mut ca);
     let pulled = after_first - before;
-    assert!(
-        pulled >= 1.0,
-        "8 sessions over 3 nodes: some member must be peer-owned"
-    );
-    assert!(pulled < sessions.len() as f64, "some member must be local");
+    assert_eq!(pulled, 4.0, "each peer-owned member is pulled once");
 
     // A repeat query answers from the remote-model cache: same bytes,
     // zero new transfers.
@@ -403,7 +406,8 @@ fn placement_is_bit_identical_across_ring_sizes_and_members() {
     // Intensity overrides are part of the same invariance, and a
     // different weighting is allowed to pick a different grouping.
     let weights: Vec<f64> = (0..sessions.len()).map(|i| 1.0 + i as f64).collect();
-    let mut first: Option<(Vec<Vec<String>>, f64, f64, (u64, u64))> = None;
+    type PlaceReply = (Vec<Vec<String>>, f64, f64, (u64, u64));
+    let mut first: Option<PlaceReply> = None;
     for h in &nodes {
         let mut c = Client::connect(h.addr()).expect("connect member");
         let reply = c

@@ -1,45 +1,47 @@
-//! Incremental StatStack fitting: accumulate sample batches as sorted
-//! runs and merge them into a fitted model instead of re-sorting the
-//! whole history on every refit.
+//! Incremental StatStack fitting: fold newly submitted samples into a
+//! fitted model at a cost that follows the new samples, not the whole
+//! history.
 //!
-//! A [`StatStackBuilder`] holds everything submitted since the last fit:
-//! one sorted distance run per batch plus a mergeable per-PC map of the
-//! same shape. Fitting k-way-merges those runs with the previous model's
-//! (already sorted) distances — `O(n log k)` with `k` = batches since the
-//! last fit, instead of the `O(n log n)` full `sort_unstable` that
-//! [`StatStackModel::from_profile`] pays. The result is **bit-identical**
-//! to a from-scratch fit of the concatenated profile: merging sorted
-//! `u64` runs yields exactly the sequence `sort_unstable` would, prefix
-//! sums are the same `u64` additions in the same order, and dangling
-//! counts are plain sums.
+//! A [`StatStackBuilder`] holds the samples submitted since the last
+//! fit, unsorted. [`StatStackModel::extend`] sorts them once and merges
+//! them into the previous model's small *delta* level; the large *base*
+//! level is shared through its `Arc`, not copied. When the merged delta
+//! outgrows the fold rule, `delta² > 16·base` counted in samples (so
+//! the delta stays near `4√n` of an `n`-sample history), the refit
+//! folds it into a fresh base instead. A refit of `b` samples therefore
+//! sorts `b`, rebuilds an `O(√n)` delta, and pays an amortized share of
+//! the `O(n)` fold, which recurs only every `≈4√n / b` refits:
+//! `O(b·√n)` in all, against the `O(n)` copy of a whole-history refit.
+//!
+//! The result is **bit-identical** to a from-scratch
+//! [`StatStackModel::from_profile`] fit of the concatenated profile:
+//! merging sorted `u64` runs yields exactly the sequence `sort_unstable`
+//! would, the counts and prefix sums a query reads from both levels add
+//! up to those of the merged sequence, and dangling counts are plain
+//! sums.
 
-use crate::model::{prefix_sums, PcSamples, StatStackModel};
+use crate::model::{Level, StatStackModel};
 use repf_sampling::{DanglingSample, Profile, ReuseSample};
-use repf_trace::hash::FxHashMap;
 use repf_trace::Pc;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-/// Pending per-PC samples: sorted distance runs plus a dangling count.
-#[derive(Clone, Debug, Default)]
-struct PcPending {
-    runs: Vec<Vec<u64>>,
-    dangling: u64,
-}
+/// A refit folds the delta into a fresh base once
+/// `delta² > FOLD_RATIO · base`, both counted in samples.
+const FOLD_RATIO: u128 = 16;
 
-/// Sample batches accumulated since the last fit, kept in mergeable form
-/// (per-batch sorted runs). Feed it with [`push_batch`], then produce a
-/// model with [`fit`] or [`StatStackModel::extend`].
+/// Samples submitted since the last fit, in arrival order. Feed it with
+/// [`push_batch`], then produce a model with [`fit`] or
+/// [`StatStackModel::extend`].
 ///
 /// [`push_batch`]: StatStackBuilder::push_batch
 /// [`fit`]: StatStackBuilder::fit
 #[derive(Clone, Debug)]
 pub struct StatStackBuilder {
     line_bytes: u64,
-    /// One sorted run of completed distances per pushed batch.
-    runs: Vec<Vec<u64>>,
-    per_pc: FxHashMap<Pc, PcPending>,
-    dangling: u64,
+    /// Completed samples as `(end_pc, distance)`.
+    reuse: Vec<(Pc, u64)>,
+    /// The PC of each dangling sample.
+    dangling: Vec<Pc>,
 }
 
 impl StatStackBuilder {
@@ -47,31 +49,16 @@ impl StatStackBuilder {
     pub fn new(line_bytes: u64) -> Self {
         StatStackBuilder {
             line_bytes,
-            runs: Vec::new(),
-            per_pc: FxHashMap::default(),
-            dangling: 0,
+            reuse: Vec::new(),
+            dangling: Vec::new(),
         }
     }
 
-    /// Append one batch of samples (sorts only the batch, `O(b log b)`).
+    /// Append one batch of samples (`O(b)`; sorting waits for the fit).
     pub fn push_batch(&mut self, reuse: &[ReuseSample], dangling: &[DanglingSample]) {
-        if !reuse.is_empty() {
-            let mut run: Vec<u64> = reuse.iter().map(|r| r.distance).collect();
-            run.sort_unstable();
-            self.runs.push(run);
-            let mut by_pc: FxHashMap<Pc, Vec<u64>> = FxHashMap::default();
-            for r in reuse {
-                by_pc.entry(r.end_pc).or_default().push(r.distance);
-            }
-            for (pc, mut distances) in by_pc {
-                distances.sort_unstable();
-                self.per_pc.entry(pc).or_default().runs.push(distances);
-            }
-        }
-        for d in dangling {
-            self.per_pc.entry(d.pc).or_default().dangling += 1;
-        }
-        self.dangling += dangling.len() as u64;
+        self.reuse
+            .extend(reuse.iter().map(|r| (r.end_pc, r.distance)));
+        self.dangling.extend(dangling.iter().map(|d| d.pc));
     }
 
     /// Append a whole profile as one batch.
@@ -83,58 +70,31 @@ impl StatStackBuilder {
     ///
     /// [`clear`]: StatStackBuilder::clear
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty() && self.dangling == 0 && self.per_pc.is_empty()
+        self.reuse.is_empty() && self.dangling.is_empty()
     }
 
-    /// Drop all pending batches (after they have been folded into a fit).
+    /// Drop all pending samples (after they have been folded into a fit)
+    /// and release their memory.
     pub fn clear(&mut self) {
-        self.runs.clear();
-        self.per_pc.clear();
-        self.dangling = 0;
+        *self = StatStackBuilder::new(self.line_bytes);
     }
 
-    /// Approximate heap bytes held by the pending runs.
+    /// Approximate heap bytes held by the pending samples.
     pub fn approx_heap_bytes(&self) -> usize {
-        let global: usize = self.runs.iter().map(|r| r.len() * 8).sum();
-        let per_pc: usize = self
-            .per_pc
-            .values()
-            .map(|p| p.runs.iter().map(|r| r.len() * 8).sum::<usize>() + 32)
-            .sum();
-        global + per_pc
+        self.reuse.len() * std::mem::size_of::<(Pc, u64)>()
+            + self.dangling.len() * std::mem::size_of::<Pc>()
     }
 
-    /// Fit a model from the pending batches alone (no base model):
+    /// The pending samples as one sorted level.
+    fn level(&self) -> Level {
+        Level::from_samples(self.reuse.iter().copied(), self.dangling.iter().copied())
+    }
+
+    /// Fit a model from the pending samples alone (no base model):
     /// bit-identical to [`StatStackModel::from_profile`] on the
     /// concatenation of every pushed batch.
     pub fn fit(&self) -> StatStackModel {
-        self.fit_onto(None)
-    }
-
-    fn fit_onto(&self, base: Option<&StatStackModel>) -> StatStackModel {
-        if let Some(base) = base {
-            debug_assert_eq!(
-                base.line_bytes, self.line_bytes,
-                "base model and pending batches must share a line size"
-            );
-        }
-        let base_sorted: &[u64] = base.map_or(&[], |m| &m.sorted);
-        let sorted = merge_sorted(base_sorted, &self.runs);
-        let prefix = prefix_sums(&sorted);
-        let mut per_pc: FxHashMap<Pc, PcSamples> =
-            base.map(|m| m.per_pc.clone()).unwrap_or_default();
-        for (pc, pending) in &self.per_pc {
-            let entry = per_pc.entry(*pc).or_default();
-            entry.distances = merge_sorted(&entry.distances, &pending.runs);
-            entry.dangling += pending.dangling;
-        }
-        StatStackModel {
-            line_bytes: self.line_bytes,
-            sorted,
-            prefix,
-            dangling: base.map_or(0, |m| m.dangling) + self.dangling,
-            per_pc,
-        }
+        StatStackModel::from_level(self.line_bytes, self.level())
     }
 }
 
@@ -145,75 +105,50 @@ impl StatStackModel {
         StatStackBuilder::new(line_bytes)
     }
 
-    /// Fold `pending` batches into this (immutable) model, producing a
+    /// Fold `pending` samples into this (immutable) model, producing a
     /// new model bit-identical to a from-scratch
     /// [`from_profile`](Self::from_profile) fit of the concatenated
-    /// sample history. Cost: one k-way merge of already-sorted runs, not
-    /// a full re-sort.
+    /// sample history. The new model shares this one's base level and
+    /// carries a rebuilt delta, or, once the delta outgrows the fold
+    /// rule, a fresh base holding everything.
     pub fn extend(&self, pending: &StatStackBuilder) -> StatStackModel {
-        pending.fit_onto(Some(self))
-    }
-}
-
-/// Merge an already-sorted base slice with sorted runs into one sorted
-/// vector. Two sequences take the linear two-way path; more go through a
-/// binary heap (`O(n log k)`).
-fn merge_sorted(base: &[u64], runs: &[Vec<u64>]) -> Vec<u64> {
-    let mut seqs: Vec<&[u64]> = Vec::with_capacity(runs.len() + 1);
-    if !base.is_empty() {
-        seqs.push(base);
-    }
-    seqs.extend(runs.iter().filter(|r| !r.is_empty()).map(|r| r.as_slice()));
-    match seqs.len() {
-        0 => Vec::new(),
-        1 => seqs[0].to_vec(),
-        2 => merge_two(seqs[0], seqs[1]),
-        _ => merge_k(&seqs),
-    }
-}
-
-fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
+        debug_assert_eq!(
+            self.line_bytes, pending.line_bytes,
+            "base model and pending batches must share a line size"
+        );
+        let delta = self.delta.merged(&pending.level());
+        let (d, b) = (
+            delta.sample_count() as u128,
+            self.base.sample_count() as u128,
+        );
+        if d * d > FOLD_RATIO * b {
+            StatStackModel::from_level(self.line_bytes, self.base.merged(&delta))
         } else {
-            out.push(b[j]);
-            j += 1;
+            StatStackModel {
+                line_bytes: self.line_bytes,
+                base: Arc::clone(&self.base),
+                delta,
+            }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-fn merge_k(seqs: &[&[u64]]) -> Vec<u64> {
-    let total: usize = seqs.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    // (value, sequence index); ties in value resolve by sequence index,
-    // which is irrelevant for equal u64s but keeps the heap total-ordered.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(seqs.len());
-    let mut pos = vec![0usize; seqs.len()];
-    for (ix, s) in seqs.iter().enumerate() {
-        heap.push(Reverse((s[0], ix)));
-    }
-    while let Some(Reverse((v, ix))) = heap.pop() {
-        out.push(v);
-        pos[ix] += 1;
-        if pos[ix] < seqs[ix].len() {
-            heap.push(Reverse((seqs[ix][pos[ix]], ix)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corun::CoRunModel;
     use repf_trace::rng::XorShift64Star;
     use repf_trace::AccessKind;
+
+    /// A heavy-tailed reuse distance: short, mid, far and uniform.
+    fn random_distance(rng: &mut XorShift64Star) -> u64 {
+        match rng.below(4) {
+            0 => rng.below(32),
+            1 => 100 + rng.below(4000),
+            2 => 50_000 + rng.below(500_000),
+            _ => rng.below(1 << 24),
+        }
+    }
 
     /// A deterministic pseudo-random profile: `n` reuse samples over a
     /// handful of PCs with a heavy-tailed distance mix, plus dangling
@@ -228,12 +163,7 @@ mod tests {
         };
         for i in 0..n as u64 {
             let pc = Pc(10 + (rng.below(5)) as u32);
-            let distance = match rng.below(4) {
-                0 => rng.below(32),
-                1 => 100 + rng.below(4000),
-                2 => 50_000 + rng.below(500_000),
-                _ => rng.below(1 << 24),
-            };
+            let distance = random_distance(&mut rng);
             p.reuse.push(ReuseSample {
                 start_pc: pc,
                 start_kind: AccessKind::Load,
@@ -256,6 +186,13 @@ mod tests {
     fn assert_models_bit_identical(a: &StatStackModel, b: &StatStackModel, what: &str) {
         assert_eq!(a.sample_count(), b.sample_count(), "{what}: sample count");
         assert_eq!(a.line_bytes(), b.line_bytes(), "{what}: line bytes");
+        // The accessors CoRunModel reads for its plateau cap.
+        assert_eq!(
+            a.max_distance(),
+            b.max_distance(),
+            "{what}: largest distance"
+        );
+        assert_eq!(a.dangling(), b.dangling(), "{what}: dangling");
         for d in [0u64, 1, 7, 100, 5000, 1 << 16, 1 << 22, 1 << 30] {
             assert_eq!(
                 a.stack_distance(d).to_bits(),
@@ -264,6 +201,11 @@ mod tests {
             );
         }
         for lines in [0u64, 1, 16, 512, 1 << 14, 1 << 20] {
+            assert_eq!(
+                a.distance_threshold(lines),
+                b.distance_threshold(lines),
+                "{what}: threshold({lines})"
+            );
             assert_eq!(
                 a.miss_ratio(lines).to_bits(),
                 b.miss_ratio(lines).to_bits(),
@@ -282,6 +224,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(a.to_parts(), b.to_parts(), "{what}: parts");
     }
 
     /// Split `p`'s samples into `cuts+1` contiguous batches at
@@ -388,24 +331,116 @@ mod tests {
         assert_eq!(b.approx_heap_bytes(), 0);
     }
 
-    #[test]
-    fn merge_sorted_matches_sort() {
-        let mut rng = XorShift64Star::new(99);
-        for runs_n in [1usize, 2, 3, 7] {
-            let mut runs: Vec<Vec<u64>> = Vec::new();
-            let mut all: Vec<u64> = Vec::new();
-            for _ in 0..runs_n {
-                let len = rng.below(50) as usize;
-                let mut run: Vec<u64> = (0..len).map(|_| rng.below(1000)).collect();
-                run.sort_unstable();
-                all.extend_from_slice(&run);
-                runs.push(run);
+    /// One batch for the fold test: 0–64 samples, one in five batches
+    /// drawing half its PCs from `fresh`, a PC no earlier batch used.
+    /// With `dangles`, a quarter of the batches are dangling-only and an
+    /// eighth of the other samples dangle; without, none do.
+    fn fold_batch(rng: &mut XorShift64Star, fresh: Pc, dangles: bool) -> Profile {
+        let n = rng.below(65);
+        let dangling_only = dangles && rng.below(4) == 0;
+        let adds_pc = rng.below(5) == 0;
+        let mut p = Profile {
+            sample_period: 997,
+            line_bytes: 64,
+            ..Profile::default()
+        };
+        for i in 0..n {
+            let pc = if adds_pc && rng.below(2) == 0 {
+                fresh
+            } else {
+                Pc(10 + rng.below(5) as u32)
+            };
+            if dangling_only || (dangles && rng.below(8) == 0) {
+                p.dangling.push(DanglingSample {
+                    pc,
+                    kind: AccessKind::Load,
+                    start_index: i,
+                });
+            } else {
+                p.reuse.push(ReuseSample {
+                    start_pc: pc,
+                    start_kind: AccessKind::Load,
+                    end_pc: pc,
+                    end_kind: AccessKind::Load,
+                    distance: random_distance(rng),
+                    start_index: i,
+                });
             }
-            let mut base: Vec<u64> = (0..rng.below(80)).map(|_| rng.below(1000)).collect();
-            base.sort_unstable();
-            all.extend_from_slice(&base);
-            all.sort_unstable();
-            assert_eq!(merge_sorted(&base, &runs), all, "{runs_n} runs");
         }
+        p
+    }
+
+    #[test]
+    fn property_extend_across_many_folds_is_bit_identical() {
+        // Two sessions, each extended 320 times by one small batch: the
+        // delta folds into a fresh base many times. After every fit the
+        // model must equal a from-scratch fit of its whole history, share
+        // its predecessor's base unless the fold rule fired, and compose
+        // in a co-run exactly like its own round-tripped parts. Session 1
+        // never dangles, so its curve plateaus past its largest distance
+        // and the threshold search must see that distance in either level.
+        let mut rng = XorShift64Star::new(0xF01D);
+        let sizes = [64u64 << 10, 1 << 20, 8 << 20];
+        let mut histories: Vec<Profile> = (0..2)
+            .map(|_| Profile {
+                sample_period: 997,
+                line_bytes: 64,
+                ..Profile::default()
+            })
+            .collect();
+        let mut models: Vec<StatStackModel> =
+            (0..2).map(|_| StatStackModel::builder(64).fit()).collect();
+        let mut folds = 0;
+        for step in 0..320u32 {
+            for (s, (history, model)) in histories.iter_mut().zip(&mut models).enumerate() {
+                let batch = fold_batch(&mut rng, Pc(1000 + step), s == 0);
+                history.reuse.extend_from_slice(&batch.reuse);
+                history.dangling.extend_from_slice(&batch.dangling);
+                let mut pending = StatStackModel::builder(64);
+                pending.push_profile(&batch);
+                let next = model.extend(&pending);
+
+                let grown =
+                    model.delta.sample_count() + (batch.reuse.len() + batch.dangling.len()) as u64;
+                let what = format!("session {s}, step {step}");
+                if (grown as u128).pow(2) > FOLD_RATIO * model.base.sample_count() as u128 {
+                    assert!(
+                        !Arc::ptr_eq(&next.base, &model.base),
+                        "{what}: fold kept the base"
+                    );
+                    assert_eq!(next.delta.sample_count(), 0, "{what}: fold left a delta");
+                    folds += 1;
+                } else {
+                    assert!(
+                        Arc::ptr_eq(&next.base, &model.base),
+                        "{what}: refit copied the base without a fold"
+                    );
+                    assert_eq!(next.delta.sample_count(), grown, "{what}: delta size");
+                }
+                assert_models_bit_identical(&next, &StatStackModel::from_profile(history), &what);
+                *model = next;
+            }
+
+            let copies: Vec<StatStackModel> = models
+                .iter()
+                .map(|m| StatStackModel::from_parts(m.to_parts()))
+                .collect();
+            let answer = |ms: &[StatStackModel]| {
+                let mut co = CoRunModel::new();
+                for m in ms {
+                    co.push(m);
+                }
+                let a = co.answer_bytes(&sizes);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let per_member: Vec<Vec<u64>> = a.per_member.iter().map(|c| bits(c)).collect();
+                (per_member, bits(&a.throughput))
+            };
+            assert_eq!(
+                answer(&models),
+                answer(&copies),
+                "step {step}: co-run answer"
+            );
+        }
+        assert!(folds >= 40, "only {folds} folds in 640 refits");
     }
 }

@@ -162,13 +162,12 @@ impl<'a> CoRunModel<'a> {
         let subject = self.members[i].model;
         // Past `cap`, every contributing survival function is
         // dangling-only; if none has dangling mass, S has plateaued.
-        let mut cap = subject.sorted.last().copied().unwrap_or(0).saturating_add(1);
-        let mut dangling_free = subject.dangling == 0;
+        let mut cap = subject.max_distance().saturating_add(1);
+        let mut dangling_free = subject.dangling() == 0;
         for j in 0..self.members.len() {
             let Some(r) = self.rate(i, j) else { continue };
             let m = self.members[j].model;
-            let last = m.sorted.last().copied().unwrap_or(0);
-            let peer_cap = ((last as f64 + 1.0) / r).ceil();
+            let peer_cap = ((m.max_distance() as f64 + 1.0) / r).ceil();
             let peer_cap = if peer_cap >= u64::MAX as f64 {
                 u64::MAX
             } else {
@@ -177,7 +176,7 @@ impl<'a> CoRunModel<'a> {
             cap = cap.max(peer_cap);
             // An empty peer model answers the worst case S(d) = d, which
             // never plateaus — treat it as dangling mass.
-            dangling_free &= m.dangling == 0 && m.sample_count() > 0;
+            dangling_free &= m.dangling() == 0 && m.sample_count() > 0;
         }
         let mut hi = lines.max(1);
         loop {
@@ -217,14 +216,7 @@ impl<'a> CoRunModel<'a> {
         if !self.has_active_peer(i) {
             return m.miss_ratio(lines);
         }
-        let missing = match self.shared_distance_threshold(i, lines) {
-            None => m.dangling,
-            Some(t) => {
-                let below = m.sorted.partition_point(|&d| d < t) as u64;
-                (m.sorted.len() as u64 - below) + m.dangling
-            }
-        };
-        missing as f64 / n as f64
+        m.misses_at(self.shared_distance_threshold(i, lines)) as f64 / n as f64
     }
 
     /// Member `i`'s predicted shared miss ratio at `bytes` capacity

@@ -36,10 +36,12 @@
 //!
 //! Profiles that grow over time (e.g. `repf-serve` sessions accumulating
 //! submitted batches) refit through the incremental path in [`builder`]:
-//! pending batches are kept as sorted runs and
-//! [`StatStackModel::extend`] merges them into the previous fit —
-//! `O(n log k)` instead of a full re-sort, bit-identical to
-//! [`StatStackModel::from_profile`] on the concatenated history.
+//! a model keeps a large shared base level and a small delta, and
+//! [`StatStackModel::extend`] merges the new samples into the delta,
+//! folding it into a fresh base only when it outgrows `4√n` — amortized
+//! `O(b·√n)` for `b` new samples instead of a whole-history copy,
+//! bit-identical to [`StatStackModel::from_profile`] on the concatenated
+//! history.
 
 pub mod builder;
 pub mod corun;

@@ -1,16 +1,28 @@
 //! The StatStack model proper. See the crate documentation for the math.
+//!
+//! A model keeps its samples in two levels. The *base* holds the bulk
+//! of the history behind an `Arc`, so successive incremental fits
+//! share it instead of copying it; the *delta* holds the samples added
+//! since the base was built and is rebuilt by every
+//! [`extend`](StatStackModel::extend). Each level keeps its completed
+//! distances sorted with prefix sums, plus per-PC sorted distances,
+//! which are only ever counted and so carry no sums. Every query adds
+//! up exact integer counts and sums from both levels, which makes a
+//! two-level model answer bit-identically to a one-level fit of the
+//! same samples.
 
 use crate::curve::MissRatioCurve;
 use repf_sampling::Profile;
 use repf_trace::hash::FxHashMap;
 use repf_trace::Pc;
+use std::sync::Arc;
 
 /// Per-PC sample data: sorted completed distances plus dangling count.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct PcSamples {
+struct PcSamples {
     /// Sorted reuse distances of completed samples started at this PC.
-    pub(crate) distances: Vec<u64>,
-    pub(crate) dangling: u64,
+    distances: Vec<u64>,
+    dangling: u64,
 }
 
 impl PcSamples {
@@ -20,9 +32,136 @@ impl PcSamples {
 
     /// Samples with distance ≥ `threshold` plus dangling ones.
     fn at_or_beyond(&self, threshold: u64) -> u64 {
-        let below = self.distances.partition_point(|&d| d < threshold);
-        (self.distances.len() - below) as u64 + self.dangling
+        count_at_or_beyond(&self.distances, threshold) + self.dangling
     }
+
+    /// One PC's samples from two levels, merged.
+    fn merged(a: Option<&PcSamples>, b: Option<&PcSamples>) -> PcSamples {
+        match (a, b) {
+            (Some(a), Some(b)) => PcSamples {
+                distances: merge_two(&a.distances, &b.distances),
+                dangling: a.dangling + b.dangling,
+            },
+            (Some(s), None) | (None, Some(s)) => s.clone(),
+            (None, None) => PcSamples::default(),
+        }
+    }
+}
+
+/// Completed distances in sorted `distances` that are ≥ `threshold`.
+fn count_at_or_beyond(distances: &[u64], threshold: u64) -> u64 {
+    (distances.len() - distances.partition_point(|&d| d < threshold)) as u64
+}
+
+/// One level of a model's samples.
+#[derive(Clone, Debug)]
+pub(crate) struct Level {
+    /// Completed distances, sorted ascending.
+    sorted: Vec<u64>,
+    /// Prefix sums of `sorted` (`prefix[i]` = sum of the first `i`
+    /// distances).
+    prefix: Vec<u64>,
+    dangling: u64,
+    per_pc: FxHashMap<Pc, PcSamples>,
+}
+
+impl Default for Level {
+    fn default() -> Self {
+        Level::new(Vec::new(), 0, FxHashMap::default())
+    }
+}
+
+impl Level {
+    fn new(sorted: Vec<u64>, dangling: u64, per_pc: FxHashMap<Pc, PcSamples>) -> Level {
+        let mut prefix = Vec::with_capacity(sorted.len() + 1);
+        prefix.push(0u64);
+        let mut acc = 0u64;
+        for &d in &sorted {
+            acc += d;
+            prefix.push(acc);
+        }
+        Level {
+            sorted,
+            prefix,
+            dangling,
+            per_pc,
+        }
+    }
+
+    /// Fit a level to raw samples: completed `(end_pc, distance)` pairs
+    /// and the PCs of dangling ones.
+    ///
+    /// A completed sample's distance is the *backward* reuse distance
+    /// of the re-accessing instruction: it decides whether `end_pc`
+    /// hit. Dangling samples stand in for the cold/far misses of the
+    /// instruction whose lines are never re-touched in the window.
+    pub(crate) fn from_samples(
+        reuse: impl ExactSizeIterator<Item = (Pc, u64)>,
+        dangling: impl Iterator<Item = Pc>,
+    ) -> Level {
+        let mut sorted = Vec::with_capacity(reuse.len());
+        let mut per_pc: FxHashMap<Pc, PcSamples> = FxHashMap::default();
+        for (pc, d) in reuse {
+            sorted.push(d);
+            per_pc.entry(pc).or_default().distances.push(d);
+        }
+        let mut n_dangling = 0u64;
+        for pc in dangling {
+            per_pc.entry(pc).or_default().dangling += 1;
+            n_dangling += 1;
+        }
+        sorted.sort_unstable();
+        for s in per_pc.values_mut() {
+            s.distances.sort_unstable();
+        }
+        Level::new(sorted, n_dangling, per_pc)
+    }
+
+    /// Completed plus dangling samples.
+    pub(crate) fn sample_count(&self) -> u64 {
+        self.sorted.len() as u64 + self.dangling
+    }
+
+    /// How many completed distances are `< d`, and their sum.
+    fn below(&self, d: u64) -> (u64, u64) {
+        let c = self.sorted.partition_point(|&x| x < d);
+        (c as u64, self.prefix[c])
+    }
+
+    /// The level holding the samples of both `self` and `other`.
+    pub(crate) fn merged(&self, other: &Level) -> Level {
+        let mut per_pc: FxHashMap<Pc, PcSamples> = FxHashMap::default();
+        per_pc.reserve(self.per_pc.len() + other.per_pc.len());
+        for (pc, s) in &self.per_pc {
+            per_pc.insert(*pc, PcSamples::merged(Some(s), other.per_pc.get(pc)));
+        }
+        for (pc, s) in &other.per_pc {
+            per_pc.entry(*pc).or_insert_with(|| s.clone());
+        }
+        Level::new(
+            merge_two(&self.sorted, &other.sorted),
+            self.dangling + other.dangling,
+            per_pc,
+        )
+    }
+}
+
+/// Merge two sorted slices into one sorted vector.
+fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] <= b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// A fitted StatStack model: query miss ratios for any cache size, for the
@@ -30,25 +169,10 @@ impl PcSamples {
 #[derive(Clone, Debug)]
 pub struct StatStackModel {
     pub(crate) line_bytes: u64,
-    /// All completed distances, sorted ascending.
-    pub(crate) sorted: Vec<u64>,
-    /// Prefix sums of `sorted` (`prefix[i]` = sum of first `i` distances).
-    pub(crate) prefix: Vec<u64>,
-    pub(crate) dangling: u64,
-    pub(crate) per_pc: FxHashMap<Pc, PcSamples>,
-}
-
-/// Prefix sums of a sorted distance vector (`prefix[i]` = sum of the first
-/// `i` distances) — shared by the from-scratch and incremental fit paths.
-pub(crate) fn prefix_sums(sorted: &[u64]) -> Vec<u64> {
-    let mut prefix = Vec::with_capacity(sorted.len() + 1);
-    prefix.push(0u64);
-    let mut acc = 0u64;
-    for &d in sorted {
-        acc += d;
-        prefix.push(acc);
-    }
-    prefix
+    /// The bulk of the samples, shared by the fits extended from it.
+    pub(crate) base: Arc<Level>,
+    /// Samples added since `base` was built (empty after a fold).
+    pub(crate) delta: Level,
 }
 
 /// A fitted model disassembled into plain, canonically-ordered vectors —
@@ -70,32 +194,26 @@ pub struct ModelParts {
 }
 
 impl StatStackModel {
+    /// A model whose samples all sit in one base level.
+    pub(crate) fn from_level(line_bytes: u64, level: Level) -> Self {
+        StatStackModel {
+            line_bytes,
+            base: Arc::new(level),
+            delta: Level::default(),
+        }
+    }
+
     /// Fit the model to a sampling profile.
     pub fn from_profile(p: &Profile) -> Self {
-        let mut sorted: Vec<u64> = p.reuse.iter().map(|r| r.distance).collect();
-        sorted.sort_unstable();
-        let prefix = prefix_sums(&sorted);
-        let mut per_pc: FxHashMap<Pc, PcSamples> = FxHashMap::default();
-        // A completed sample's distance is the *backward* reuse distance
-        // of the re-accessing instruction: it decides whether `end_pc`
-        // hit. Dangling samples stand in for the cold/far misses of the
-        // instruction whose lines are never re-touched in the window.
-        for r in &p.reuse {
-            per_pc.entry(r.end_pc).or_default().distances.push(r.distance);
-        }
-        for d in &p.dangling {
-            per_pc.entry(d.pc).or_default().dangling += 1;
-        }
-        for s in per_pc.values_mut() {
-            s.distances.sort_unstable();
-        }
-        StatStackModel {
-            line_bytes: p.line_bytes,
-            sorted,
-            prefix,
-            dangling: p.dangling.len() as u64,
-            per_pc,
-        }
+        let level = Level::from_samples(
+            p.reuse.iter().map(|r| (r.end_pc, r.distance)),
+            p.dangling.iter().map(|d| d.pc),
+        );
+        Self::from_level(p.line_bytes, level)
+    }
+
+    fn levels(&self) -> [&Level; 2] {
+        [&self.base, &self.delta]
     }
 
     /// Line size the underlying profile used.
@@ -105,7 +223,33 @@ impl StatStackModel {
 
     /// Total samples (completed + dangling).
     pub fn sample_count(&self) -> u64 {
-        self.sorted.len() as u64 + self.dangling
+        self.base.sample_count() + self.delta.sample_count()
+    }
+
+    /// Dangling (never-reused) samples.
+    pub(crate) fn dangling(&self) -> u64 {
+        self.base.dangling + self.delta.dangling
+    }
+
+    /// The largest completed distance (0 when there is none).
+    pub(crate) fn max_distance(&self) -> u64 {
+        self.levels()
+            .iter()
+            .filter_map(|l| l.sorted.last().copied())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Samples that miss when every completed distance `≥ threshold`
+    /// misses: those plus the dangling ones (`None`: dangling only).
+    pub(crate) fn misses_at(&self, threshold: Option<u64>) -> u64 {
+        let completed = threshold.map_or(0, |t| {
+            self.levels()
+                .iter()
+                .map(|l| count_at_or_beyond(&l.sorted, t))
+                .sum::<u64>()
+        });
+        completed + self.dangling()
     }
 
     /// Expected stack distance for reuse distance `d`:
@@ -119,8 +263,9 @@ impl StatStackModel {
         if n == 0 {
             return d as f64; // no information: worst case, every line unique
         }
-        let c = self.sorted.partition_point(|&x| x < d) as u64;
-        let sum_below = self.prefix[c as usize];
+        let (cb, sb) = self.base.below(d);
+        let (cd, sd) = self.delta.below(d);
+        let (c, sum_below) = (cb + cd, sb + sd);
         let covered = c as u128 * d as u128 - sum_below as u128;
         let total = n as u128 * d as u128 - covered;
         total as f64 / n as f64
@@ -136,7 +281,7 @@ impl StatStackModel {
         let target = lines as f64;
         // S(d) ≤ d, so start the exponential search at `lines`.
         let mut hi = lines.max(1);
-        let cap = self.sorted.last().copied().unwrap_or(0).saturating_add(1);
+        let cap = self.max_distance().saturating_add(1);
         loop {
             if self.stack_distance(hi) >= target {
                 break;
@@ -145,7 +290,7 @@ impl StatStackModel {
                 // Beyond the largest observed distance the survival
                 // function is dangling-only: S grows at slope
                 // dangling/n. If dangling is zero, S has plateaued.
-                if self.dangling == 0 {
+                if self.dangling() == 0 {
                     return None;
                 }
             }
@@ -173,14 +318,7 @@ impl StatStackModel {
         if n == 0 {
             return 0.0;
         }
-        match self.distance_threshold(lines) {
-            None => self.dangling as f64 / n as f64,
-            Some(t) => {
-                let below = self.sorted.partition_point(|&d| d < t) as u64;
-                let missing = (self.sorted.len() as u64 - below) + self.dangling;
-                missing as f64 / n as f64
-            }
-        }
+        self.misses_at(self.distance_threshold(lines)) as f64 / n as f64
     }
 
     /// Application miss ratio for a cache of `bytes` capacity.
@@ -188,17 +326,23 @@ impl StatStackModel {
         self.miss_ratio(bytes / self.line_bytes)
     }
 
+    /// `pc`'s samples in each level that has any.
+    fn pc_levels(&self, pc: Pc) -> impl Iterator<Item = &PcSamples> {
+        self.levels()
+            .into_iter()
+            .filter_map(move |l| l.per_pc.get(&pc))
+    }
+
     /// Per-instruction miss ratio at `lines` capacity. Returns `None` for
     /// PCs with no samples.
     pub fn pc_miss_ratio(&self, pc: Pc, lines: u64) -> Option<f64> {
-        let s = self.per_pc.get(&pc)?;
-        let n = s.total();
+        let n = self.pc_sample_count(pc);
         if n == 0 {
             return None;
         }
-        let missing = match self.distance_threshold(lines) {
-            None => s.dangling,
-            Some(t) => s.at_or_beyond(t),
+        let missing: u64 = match self.distance_threshold(lines) {
+            None => self.pc_levels(pc).map(|s| s.dangling).sum(),
+            Some(t) => self.pc_levels(pc).map(|s| s.at_or_beyond(t)).sum(),
         };
         Some(missing as f64 / n as f64)
     }
@@ -221,9 +365,7 @@ impl StatStackModel {
 
     /// Per-instruction miss-ratio curve over `sizes_bytes`.
     pub fn pc_mrc_bytes(&self, pc: Pc, sizes_bytes: &[u64]) -> Option<MissRatioCurve> {
-        if !self.per_pc.contains_key(&pc) {
-            return None;
-        }
+        self.pc_levels(pc).next()?;
         Some(MissRatioCurve::new(
             sizes_bytes.to_vec(),
             sizes_bytes
@@ -235,30 +377,38 @@ impl StatStackModel {
 
     /// PCs with at least one sample, sorted.
     pub fn sampled_pcs(&self) -> Vec<Pc> {
-        let mut v: Vec<Pc> = self.per_pc.keys().copied().collect();
+        let mut v: Vec<Pc> = self
+            .levels()
+            .iter()
+            .flat_map(|l| l.per_pc.keys().copied())
+            .collect();
         v.sort_unstable();
+        v.dedup();
         v
     }
 
     /// Number of samples recorded for `pc`.
     pub fn pc_sample_count(&self, pc: Pc) -> u64 {
-        self.per_pc.get(&pc).map_or(0, |s| s.total())
+        self.pc_levels(pc).map(PcSamples::total).sum()
     }
 
     /// Disassemble the fit into [`ModelParts`] for shipping to another
-    /// node. Canonical (PC-sorted) ordering makes the output a pure
-    /// function of the model.
+    /// node. The two levels are merged and the per-PC entries sorted by
+    /// PC, so the output is a pure function of the samples: it equals
+    /// the parts of a from-scratch fit of the same history.
     pub fn to_parts(&self) -> ModelParts {
-        let mut per_pc: Vec<(Pc, Vec<u64>, u64)> = self
-            .per_pc
-            .iter()
-            .map(|(pc, s)| (*pc, s.distances.clone(), s.dangling))
+        let per_pc = self
+            .sampled_pcs()
+            .into_iter()
+            .map(|pc| {
+                let s = PcSamples::merged(self.base.per_pc.get(&pc), self.delta.per_pc.get(&pc));
+                (pc, s.distances, s.dangling)
+            })
             .collect();
-        per_pc.sort_unstable_by_key(|(pc, _, _)| *pc);
         ModelParts {
             line_bytes: self.line_bytes,
-            sorted: self.sorted.clone(),
-            dangling: self.dangling,
+            sorted: merge_two(&self.base.sorted, &self.delta.sorted),
+            dangling: self.dangling(),
             per_pc,
         }
     }
@@ -278,7 +428,6 @@ impl StatStackModel {
         if !sorted.is_sorted() {
             sorted.sort_unstable();
         }
-        let prefix = prefix_sums(&sorted);
         let mut map: FxHashMap<Pc, PcSamples> = FxHashMap::default();
         for (pc, mut distances, pc_dangling) in per_pc {
             if !distances.is_sorted() {
@@ -291,13 +440,7 @@ impl StatStackModel {
             }
             entry.dangling += pc_dangling;
         }
-        StatStackModel {
-            line_bytes,
-            sorted,
-            prefix,
-            dangling,
-            per_pc: map,
-        }
+        Self::from_level(line_bytes, Level::new(sorted, dangling, map))
     }
 }
 
@@ -478,9 +621,9 @@ mod tests {
         });
         let m = model_of(&mut src, 7);
         let back = StatStackModel::from_parts(m.to_parts());
-        assert_eq!(back.sorted, m.sorted);
-        assert_eq!(back.prefix, m.prefix);
-        assert_eq!(back.dangling, m.dangling);
+        assert_eq!(back.base.sorted, m.base.sorted);
+        assert_eq!(back.base.prefix, m.base.prefix);
+        assert_eq!(back.dangling(), m.dangling());
         assert_eq!(back.line_bytes, m.line_bytes);
         assert_eq!(back.sampled_pcs(), m.sampled_pcs());
         for lines in [0u64, 1, 7, 64, 1024, 1 << 20] {
@@ -505,8 +648,8 @@ mod tests {
             per_pc: vec![(Pc(5), vec![9, 3, 7], 1)],
         };
         let m = StatStackModel::from_parts(parts);
-        assert_eq!(m.sorted, vec![3, 7, 9]);
-        assert_eq!(m.prefix, vec![0, 3, 10, 19]);
+        assert_eq!(m.base.sorted, vec![3, 7, 9]);
+        assert_eq!(m.base.prefix, vec![0, 3, 10, 19]);
         assert!(m.pc_miss_ratio(Pc(5), 1).is_some());
     }
 

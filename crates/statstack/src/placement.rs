@@ -193,6 +193,10 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
+/// One group's memo slot: its cost and per-member shared miss ratios,
+/// computed at most once.
+type SubsetCell = Arc<OnceLock<(f64, Vec<f64>)>>;
+
 struct Search<'a> {
     models: &'a [&'a StatStackModel],
     intensities: &'a [f64],
@@ -213,7 +217,7 @@ struct Search<'a> {
     /// sessions). Empty when `forced == 0` or for the exhaustive
     /// baseline.
     peer_floor: Vec<Vec<(Vec<u16>, f64)>>,
-    memo: Mutex<HashMap<Vec<u16>, Arc<OnceLock<(f64, Vec<f64>)>>>>,
+    memo: Mutex<HashMap<Vec<u16>, SubsetCell>>,
 }
 
 impl<'a> Search<'a> {
@@ -249,7 +253,7 @@ impl<'a> Search<'a> {
         cell.get_or_init(|| self.eval_subset(members)).0
     }
 
-    fn subset_entry(&self, members: &[u16]) -> Arc<OnceLock<(f64, Vec<f64>)>> {
+    fn subset_entry(&self, members: &[u16]) -> SubsetCell {
         let mut map = self.memo.lock().expect("placement memo poisoned");
         match map.get(members) {
             Some(c) => Arc::clone(c),
@@ -346,7 +350,7 @@ impl<'a> Search<'a> {
                 Some(g) => node.groups[g as usize].len() + 1 + free <= self.capacity,
                 None => {
                     (!node.groups.is_empty() && min_len + 1 + free <= self.capacity)
-                        || (can_open && 1 + free <= self.capacity)
+                        || (can_open && free < self.capacity)
                 }
             };
             if fits {
@@ -570,9 +574,9 @@ impl<'a> Search<'a> {
         for _ in 0..n.max(1) * n.max(1) {
             let total: f64 = costs.iter().sum();
             // (new_total, a, b, new members of a, new members of b)
-            let mut step: Option<(f64, usize, usize, Vec<u16>, Vec<u16>)> = None;
-            type Step = Option<(f64, usize, usize, Vec<u16>, Vec<u16>)>;
-            let consider = |cand: (f64, usize, usize, Vec<u16>, Vec<u16>), step: &mut Step| {
+            type Move = (f64, usize, usize, Vec<u16>, Vec<u16>);
+            let mut step: Option<Move> = None;
+            let consider = |cand: Move, step: &mut Option<Move>| {
                 let beats = match step {
                     None => cand.0.total_cmp(&total) == std::cmp::Ordering::Less,
                     Some((bt, ..)) => cand.0.total_cmp(bt) == std::cmp::Ordering::Less,
