@@ -10,7 +10,7 @@
 use repf_cache::{CacheConfig, FunctionalCacheSim, MemorySystem};
 use repf_core::analyze;
 use repf_sampling::{Sampler, SamplerConfig};
-use repf_sim::{amd_phenom_ii, CoreSetup, Sim};
+use repf_sim::{amd_phenom_ii, intel_i7_2600k, CoreSetup, Sim};
 use repf_statstack::StatStackModel;
 use repf_trace::patterns::{StridedStream, StridedStreamCfg};
 use repf_trace::{Pc, TraceSource, TraceSourceExt};
@@ -110,17 +110,23 @@ fn bench_caches() {
         sim.run(&mut w);
         sim.totals().misses
     });
-    bench("cache-simulation", "memory-system-demand-stream", N_REFS, || {
-        let m = amd_phenom_ii();
-        let mut mem = MemorySystem::new(1, m.hierarchy);
-        let mut src =
-            StridedStream::new(StridedStreamCfg::loads(Pc(0), 0, 1 << 30, 64, 1)).take_refs(N_REFS);
-        let mut now = 0u64;
-        while let Some(r) = src.next_ref() {
-            now += 2 + mem.demand_access(0, r, now).latency;
-        }
-        now
-    });
+    // Every reference misses to DRAM, so each one fills every level: the
+    // AMD LLC is 48-way, the Intel one 16-way.
+    for (name, m) in [
+        ("memory-system-demand-stream", amd_phenom_ii()),
+        ("memory-system-demand-stream-intel", intel_i7_2600k()),
+    ] {
+        bench("cache-simulation", name, N_REFS, || {
+            let mut mem = MemorySystem::new(1, m.hierarchy);
+            let mut src = StridedStream::new(StridedStreamCfg::loads(Pc(0), 0, 1 << 30, 64, 1))
+                .take_refs(N_REFS);
+            let mut now = 0u64;
+            while let Some(r) = src.next_ref() {
+                now += 2 + mem.demand_access(0, r, now).latency;
+            }
+            now
+        });
+    }
 }
 
 fn bench_timing_sim() {

@@ -3,9 +3,10 @@
 //!
 //! ## Model
 //!
-//! * Write-back, write-allocate, non-inclusive hierarchy with true LRU at
-//!   every level. Clean victims are dropped; dirty victims cascade outwards
-//!   (L1 → L2 → LLC → DRAM). 64 B lines on both modelled machines.
+//! * Write-back, write-allocate, non-inclusive hierarchy with exact LRU at
+//!   every level ([`SetAssocCache`] keeps it as per-way recency ranks).
+//!   Clean victims are dropped; dirty victims cascade outwards (L1 → L2 →
+//!   LLC → DRAM). 64 B lines on both modelled machines.
 //! * **Non-temporal lines** (filled by `PREFETCHNTA`, §VI-B of the paper)
 //!   live in the private levels (L1 + L2) only; once evicted from L2 they
 //!   go *straight to DRAM* (write if dirty, dropped if clean) without
@@ -14,7 +15,11 @@
 //! * **In-flight fills** (MSHR model): a DRAM fetch installs the line
 //!   immediately but records its arrival time; a demand access that hits a
 //!   line still in flight pays the remaining latency (a *merge*), which is
-//!   how a timely prefetch hides most but not all of a miss.
+//!   how a timely prefetch hides most but not all of a miss. The table
+//!   remembers its latest pending arrival: once `now` has passed it, a
+//!   lookup answers 0 without hashing. Arrived entries are swept each
+//!   time the table doubles, from 64 entries up. Both rely on `now` never
+//!   decreasing between calls (see [`MemorySystem::demand_access`]).
 //! * **Prefetch usefulness**: a line filled by a prefetch carries a flag at
 //!   the innermost level it was installed into; the first demand touch
 //!   counts it *useful*, eviction while still flagged counts it *useless*.
@@ -109,8 +114,17 @@ pub struct MemorySystem {
     /// Useless prefetches detected at the shared LLC (not attributable to
     /// a core once the private copies are gone).
     shared_useless_prefetches: u64,
+    /// Arrival cycle per line with a DRAM fill outstanding (arrived
+    /// entries linger until the next sweep).
     in_flight: FxHashMap<u64, u64>,
+    /// The latest arrival ever noted: at or past it nothing is in flight.
+    latest_arrival: u64,
+    /// Table size that triggers the next sweep of arrived entries.
+    sweep_at: usize,
 }
+
+/// Size of the in-flight table's first sweep.
+const FIRST_SWEEP: usize = 64;
 
 impl MemorySystem {
     /// Build a memory system with `cores` private L1/L2 pairs.
@@ -127,6 +141,8 @@ impl MemorySystem {
             stats: vec![CoreStats::default(); cores],
             shared_useless_prefetches: 0,
             in_flight: FxHashMap::default(),
+            latest_arrival: 0,
+            sweep_at: FIRST_SWEEP,
         }
     }
 
@@ -174,7 +190,7 @@ impl MemorySystem {
     /// entry once it has arrived.
     #[inline]
     fn in_flight_remaining(&mut self, line: u64, now: u64) -> u64 {
-        if self.in_flight.is_empty() {
+        if now >= self.latest_arrival {
             return 0;
         }
         match self.in_flight.get(&line) {
@@ -188,10 +204,12 @@ impl MemorySystem {
     }
 
     fn note_in_flight(&mut self, line: u64, ready: u64, now: u64) {
-        if self.in_flight.len() > 8192 {
+        if self.in_flight.len() >= self.sweep_at {
             self.in_flight.retain(|_, &mut r| r > now);
+            self.sweep_at = (2 * self.in_flight.len()).max(FIRST_SWEEP);
         }
         self.in_flight.insert(line, ready);
+        self.latest_arrival = self.latest_arrival.max(ready);
     }
 
     /// Write a victim evicted from a private L1 back into the hierarchy.
@@ -241,6 +259,13 @@ impl MemorySystem {
     }
 
     /// Issue a demand load/store for `core` at time `now`.
+    ///
+    /// In-flight latencies are exact as long as `now` never decreases
+    /// from one `demand_access` or [`prefetch`](Self::prefetch) call to
+    /// the next ([`reset`](Self::reset) starts time over): the in-flight
+    /// table stops tracking a fill once `now` has passed its arrival.
+    /// `Sim::run_solo` and `Sim::run_mix` step cores in global time
+    /// order, so they satisfy this.
     pub fn demand_access(&mut self, core: usize, mref: MemRef, now: u64) -> AccessResult {
         let line = self.line_of(mref.addr);
         let store = mref.kind == AccessKind::Store;
@@ -324,6 +349,9 @@ impl MemorySystem {
     /// Issue a (non-blocking) prefetch of the line containing `addr` for
     /// `core`. Returns `true` if the prefetch moved data (i.e. was not a
     /// no-op on an already-resident line).
+    ///
+    /// Like [`demand_access`](Self::demand_access), this expects `now`
+    /// never to decrease between calls.
     pub fn prefetch(&mut self, core: usize, addr: u64, target: PrefetchTarget, now: u64) -> bool {
         let line = self.line_of(addr);
         self.stats[core].prefetches_issued += 1;
@@ -332,12 +360,12 @@ impl MemorySystem {
         if self.l1[core].probe(line) {
             return false;
         }
-        if target == PrefetchTarget::L2 && self.l2[core].probe(line) {
+        let in_l2 = self.l2[core].probe(line);
+        if in_l2 && target == PrefetchTarget::L2 {
             return false;
         }
-
-        let in_l2 = self.l2[core].probe(line);
-        let in_llc = self.llc.probe(line);
+        // Only a line in neither L2 nor the LLC is fetched from DRAM.
+        let from_dram = !in_l2 && !self.llc.probe(line);
 
         match target {
             PrefetchTarget::Nta => {
@@ -348,7 +376,7 @@ impl MemorySystem {
                 // LLC. (Filling L2 as well keeps low-associativity L1s
                 // from thrashing multi-stream NT data; vendors' NTA
                 // implementations differ in the same spirit.)
-                if !in_l2 && !in_llc {
+                if from_dram {
                     let lat = self.dram.read(now);
                     self.stats[core].dram_read_bytes += self.line_bytes();
                     self.stats[core].prefetch_dram_fetches += 1;
@@ -366,7 +394,7 @@ impl MemorySystem {
             }
             PrefetchTarget::L1 | PrefetchTarget::L2 => {
                 let fill_l1 = target == PrefetchTarget::L1;
-                if !in_l2 && !in_llc {
+                if from_dram {
                     let lat = self.dram.read(now);
                     self.stats[core].dram_read_bytes += self.line_bytes();
                     self.stats[core].prefetch_dram_fetches += 1;
@@ -403,6 +431,8 @@ impl MemorySystem {
         self.stats.fill(CoreStats::default());
         self.shared_useless_prefetches = 0;
         self.in_flight.clear();
+        self.latest_arrival = 0;
+        self.sweep_at = FIRST_SWEEP;
     }
 }
 

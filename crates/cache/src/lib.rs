@@ -2,13 +2,16 @@
 //!
 //! From-scratch cache-hierarchy substrate for the ICPP 2014 reproduction:
 //!
-//! * [`SetAssocCache`] — a set-associative, true-LRU cache with dirty and
-//!   *non-temporal* line state.
+//! * [`SetAssocCache`] — a set-associative cache with dirty and
+//!   *non-temporal* line state and exact LRU, kept as per-way recency
+//!   ranks so that no way ever moves.
 //! * [`MemorySystem`] — private L1/L2 per core over a **shared** LLC and a
 //!   bandwidth-limited DRAM channel ([`Dram`]), with in-flight (MSHR-style)
 //!   tracking of outstanding fills, demand accesses and normal /
 //!   non-temporal prefetches. This is the stand-in for the AMD Phenom II
-//!   and Intel i7-2600K memory systems of the paper's Table II.
+//!   and Intel i7-2600K memory systems of the paper's Table II. Its calls
+//!   must not go back in time: once `now` passes the latest pending
+//!   arrival, lookups skip the in-flight table.
 //! * [`FunctionalCacheSim`] — the Pin-analog functional simulator the paper
 //!   uses as ground truth for per-instruction miss ratios (§IV, Table I).
 //!

@@ -1,23 +1,63 @@
-//! A set-associative cache with true LRU replacement and per-line dirty /
-//! non-temporal state.
+//! A set-associative cache with exact LRU replacement and per-line dirty /
+//! non-temporal / prefetched state.
 //!
 //! Lines are identified by their global *line index* (`addr / line_bytes`);
-//! byte-address handling happens in the callers. Within each set, ways are
-//! kept physically ordered by recency (way 0 = MRU) — associativities in
-//! this reproduction are at most 48, so the move-to-front is a small
-//! `memmove` and only happens on the levels where traffic is already rare.
+//! byte-address handling happens in the callers. A line index must be
+//! below `u64::MAX`, which any address divided by a line of 2 bytes or
+//! more is.
+//!
+//! ## Layout
+//!
+//! Ways never move. Three parallel arrays hold one entry per way:
+//!
+//! * the *key*, `line + 1`, so that 0 marks an empty way;
+//! * a one-byte *recency rank*: among the k valid ways of a set, 1 is the
+//!   most and k the least recently used; 0 marks an empty way;
+//! * a flag byte (dirty, non-temporal, prefetched).
+//!
+//! The valid ranks of a set are always a permutation of `1..=k`, so they
+//! spell out exactly the order a move-to-front list would keep. Touching
+//! a way of rank r ages every way ranked ahead of it by one and gives it
+//! rank 1, in one branch-free pass over the set's rank bytes. A fill of
+//! an absent line takes an empty way if the set has one and the way of
+//! rank `assoc` (the LRU line) otherwise; invalidating a way closes the
+//! gap in the ranks behind it. So a hit or fill on the 48-way LLC writes
+//! 48 rank bytes and moves no key.
+//!
+//! Because 0 means empty in every array, a new cache is all zero bytes:
+//! its pages are touched only as sets are first used, and
+//! `MemorySystem::new` builds its caches once per simulated cell. Ranks
+//! are bytes, so the associativity is capped at 254.
 
 use crate::config::CacheConfig;
 
 /// Per-line metadata bit flags.
 mod flag {
-    pub const VALID: u8 = 1 << 0;
-    pub const DIRTY: u8 = 1 << 1;
+    pub const DIRTY: u8 = 1 << 0;
     /// Filled by a non-temporal prefetch: bypasses outer levels on eviction.
-    pub const NT: u8 = 1 << 2;
+    pub const NT: u8 = 1 << 1;
     /// Filled by a prefetch and not yet referenced by a demand access.
-    pub const PREFETCHED: u8 = 1 << 3;
+    pub const PREFETCHED: u8 = 1 << 2;
 }
+
+/// The flag byte of a line with the given state.
+#[inline]
+fn flags(dirty: bool, nt: bool, prefetched: bool) -> u8 {
+    let mut m = 0;
+    if dirty {
+        m |= flag::DIRTY;
+    }
+    if nt {
+        m |= flag::NT;
+    }
+    if prefetched {
+        m |= flag::PREFETCHED;
+    }
+    m
+}
+
+/// The largest associativity a one-byte rank can order.
+const MAX_ASSOC: u32 = 254;
 
 /// A line pushed out of the cache by a fill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,23 +79,32 @@ pub struct SetAssocCache {
     cfg: CacheConfig,
     assoc: usize,
     set_mask: u64,
-    /// `sets * assoc` tags, each set's ways ordered MRU..LRU.
-    tags: Vec<u64>,
-    /// Parallel metadata for `tags`.
+    /// `sets * assoc` keys, `line + 1` or 0 for an empty way.
+    keys: Vec<u64>,
+    /// Recency rank per way: 1 = MRU of its set, 0 = empty.
+    ranks: Vec<u8>,
+    /// Flag byte per way.
     meta: Vec<u8>,
 }
 
 impl SetAssocCache {
     /// Build an empty cache with the given geometry.
+    ///
+    /// Panics if the associativity exceeds 254.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
-        let assoc = cfg.assoc as usize;
+        assert!(
+            cfg.assoc <= MAX_ASSOC,
+            "associativity {} exceeds the {MAX_ASSOC} ways a one-byte LRU rank can order",
+            cfg.assoc
+        );
+        let ways = cfg.lines() as usize;
         SetAssocCache {
             cfg,
-            assoc,
-            set_mask: sets - 1,
-            tags: vec![0; (sets * cfg.assoc as u64) as usize],
-            meta: vec![0; (sets * cfg.assoc as u64) as usize],
+            assoc: cfg.assoc as usize,
+            set_mask: cfg.sets() - 1,
+            keys: vec![0; ways],
+            ranks: vec![0; ways],
+            meta: vec![0; ways],
         }
     }
 
@@ -64,11 +113,45 @@ impl SetAssocCache {
         &self.cfg
     }
 
+    /// First way of `line`'s set.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = (line & self.set_mask) as usize;
-        let start = set * self.assoc;
-        start..start + self.assoc
+    fn set_start(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize * self.assoc
+    }
+
+    /// The way holding `line` in the set starting at `start`.
+    #[inline]
+    fn find(&self, start: usize, line: u64) -> Option<usize> {
+        let key = line + 1;
+        self.keys[start..start + self.assoc]
+            .iter()
+            .position(|&k| k == key)
+            .map(|i| start + i)
+    }
+
+    /// Make way `w` the MRU of the set starting at `start`: every way
+    /// ranked ahead of it ages by one. An empty way has rank 0, which
+    /// wraps to 255 below, so filling one ages every valid way and no
+    /// empty one.
+    #[inline]
+    fn touch(&mut self, start: usize, w: usize) {
+        let r = self.ranks[w].wrapping_sub(1);
+        for x in &mut self.ranks[start..start + self.assoc] {
+            *x += u8::from(x.wrapping_sub(1) < r);
+        }
+        self.ranks[w] = 1;
+    }
+
+    /// The state of valid way `w` as it leaves the cache.
+    #[inline]
+    fn evicted(&self, w: usize) -> EvictedLine {
+        let m = self.meta[w];
+        EvictedLine {
+            line: self.keys[w] - 1,
+            dirty: m & flag::DIRTY != 0,
+            nt: m & flag::NT != 0,
+            unused_prefetch: m & flag::PREFETCHED != 0,
+        }
     }
 
     /// Demand access. Returns `true` on hit; promotes the line to MRU,
@@ -77,36 +160,23 @@ impl SetAssocCache {
     /// whether this is the *first* demand touch of a prefetched line.
     #[inline]
     pub fn access(&mut self, line: u64, store: bool, was_prefetched: &mut bool) -> bool {
-        let range = self.set_range(line);
-        let (start, end) = (range.start, range.end);
-        for w in start..end {
-            if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
-                *was_prefetched = self.meta[w] & flag::PREFETCHED != 0;
-                let mut m = self.meta[w] & !flag::PREFETCHED;
-                if store {
-                    m |= flag::DIRTY;
-                }
-                // Move to front (MRU).
-                let tag = self.tags[w];
-                self.tags.copy_within(start..w, start + 1);
-                self.meta.copy_within(start..w, start + 1);
-                self.tags[start] = tag;
-                self.meta[start] = m;
-                return true;
-            }
-        }
-        *was_prefetched = false;
-        false
+        let start = self.set_start(line);
+        let Some(w) = self.find(start, line) else {
+            *was_prefetched = false;
+            return false;
+        };
+        let m = self.meta[w];
+        *was_prefetched = m & flag::PREFETCHED != 0;
+        let dirty = if store { flag::DIRTY } else { 0 };
+        self.meta[w] = (m & !flag::PREFETCHED) | dirty;
+        self.touch(start, w);
+        true
     }
 
     /// Look up without disturbing LRU state.
     #[inline]
     pub fn probe(&self, line: u64) -> bool {
-        let range = self.set_range(line);
-        self.tags[range.clone()]
-            .iter()
-            .zip(&self.meta[range])
-            .any(|(&t, &m)| m & flag::VALID != 0 && t == line)
+        self.find(self.set_start(line), line).is_some()
     }
 
     /// Insert `line` as MRU. If the line is already present its flags are
@@ -114,96 +184,58 @@ impl SetAssocCache {
     /// fill) and no eviction happens. Returns the victim, if any.
     #[inline]
     pub fn fill(&mut self, line: u64, dirty: bool, nt: bool, prefetched: bool) -> Option<EvictedLine> {
-        let range = self.set_range(line);
-        let (start, end) = (range.start, range.end);
-        // Already present? Merge state and promote.
-        for w in start..end {
-            if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
-                let mut m = self.meta[w];
-                if dirty {
-                    m |= flag::DIRTY;
-                }
-                if !prefetched {
-                    m &= !flag::PREFETCHED;
-                }
-                if nt {
-                    m |= flag::NT;
-                }
-                self.tags.copy_within(start..w, start + 1);
-                self.meta.copy_within(start..w, start + 1);
-                self.tags[start] = line;
-                self.meta[start] = m;
-                return None;
+        let start = self.set_start(line);
+        if let Some(w) = self.find(start, line) {
+            let mut m = self.meta[w] | flags(dirty, nt, false);
+            if !prefetched {
+                m &= !flag::PREFETCHED;
             }
+            self.meta[w] = m;
+            self.touch(start, w);
+            return None;
         }
-        // Victim = LRU way (last). Prefer an invalid way if one exists.
-        let mut victim_way = end - 1;
-        for w in start..end {
-            if self.meta[w] & flag::VALID == 0 {
-                victim_way = w;
-                break;
-            }
-        }
-        let evicted = if self.meta[victim_way] & flag::VALID != 0 {
-            let m = self.meta[victim_way];
-            Some(EvictedLine {
-                line: self.tags[victim_way],
-                dirty: m & flag::DIRTY != 0,
-                nt: m & flag::NT != 0,
-                unused_prefetch: m & flag::PREFETCHED != 0,
-            })
-        } else {
-            None
-        };
-        // Shift [start..victim_way) down one and install at MRU.
-        self.tags.copy_within(start..victim_way, start + 1);
-        self.meta.copy_within(start..victim_way, start + 1);
-        self.tags[start] = line;
-        let mut m = flag::VALID;
-        if dirty {
-            m |= flag::DIRTY;
-        }
-        if nt {
-            m |= flag::NT;
-        }
-        if prefetched {
-            m |= flag::PREFETCHED;
-        }
-        self.meta[start] = m;
+        // Victim: an empty way (rank 0) if the set has one, else the LRU
+        // way (rank `assoc`). Both, and only they, wrap to `assoc - 1` or
+        // above.
+        let lru = self.assoc as u8 - 1;
+        let w = start
+            + self.ranks[start..start + self.assoc]
+                .iter()
+                .position(|r| r.wrapping_sub(1) >= lru)
+                .expect("a set has an empty or an LRU way");
+        let evicted = (self.keys[w] != 0).then(|| self.evicted(w));
+        self.keys[w] = line + 1;
+        self.meta[w] = flags(dirty, nt, prefetched);
+        self.touch(start, w);
         evicted
     }
 
     /// Remove `line` if present, returning its state.
     pub fn invalidate(&mut self, line: u64) -> Option<EvictedLine> {
-        let range = self.set_range(line);
-        let (start, end) = (range.start, range.end);
-        for w in start..end {
-            if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
-                let m = self.meta[w];
-                let ev = EvictedLine {
-                    line,
-                    dirty: m & flag::DIRTY != 0,
-                    nt: m & flag::NT != 0,
-                    unused_prefetch: m & flag::PREFETCHED != 0,
-                };
-                // Compact: shift the ways after it up one, invalidate LRU.
-                self.tags.copy_within(w + 1..end, w);
-                self.meta.copy_within(w + 1..end, w);
-                self.meta[end - 1] = 0;
-                return Some(ev);
-            }
+        let start = self.set_start(line);
+        let w = self.find(start, line)?;
+        let ev = self.evicted(w);
+        // Ways ranked behind it move up one.
+        let r = self.ranks[w];
+        for x in &mut self.ranks[start..start + self.assoc] {
+            *x -= u8::from(*x > r);
         }
-        None
+        self.keys[w] = 0;
+        self.ranks[w] = 0;
+        self.meta[w] = 0;
+        Some(ev)
     }
 
     /// Number of valid lines currently held (O(capacity); for tests and
     /// occupancy reporting, not the hot path).
     pub fn occupancy(&self) -> u64 {
-        self.meta.iter().filter(|&&m| m & flag::VALID != 0).count() as u64
+        self.keys.iter().filter(|&&k| k != 0).count() as u64
     }
 
     /// Clear all content.
     pub fn clear(&mut self) {
+        self.keys.fill(0);
+        self.ranks.fill(0);
         self.meta.fill(0);
     }
 }
@@ -305,7 +337,7 @@ mod tests {
         assert!(!c.probe(0) && c.probe(4));
         assert_eq!(c.occupancy(), 1);
         assert!(c.invalidate(0).is_none());
-        // The set still works after compaction.
+        // The set still works after the ranks close up.
         c.fill(8, false, false, false);
         assert!(c.probe(4) && c.probe(8));
     }
@@ -329,6 +361,27 @@ mod tests {
         c.clear();
         assert_eq!(c.occupancy(), 0);
         assert!(!c.probe(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 255 exceeds")]
+    fn rejects_associativity_a_byte_rank_cannot_order() {
+        SetAssocCache::new(CacheConfig::new(255 * 64, 255, 64));
+    }
+
+    #[test]
+    fn widest_associativity_keeps_exact_lru() {
+        // One 254-way set: cycling 254 lines always hits once warm, and
+        // the 255th line evicts the least recent one.
+        let mut c = SetAssocCache::new(CacheConfig::new(254 * 64, 254, 64));
+        for line in 0..254 {
+            assert!(c.fill(line, false, false, false).is_none());
+        }
+        for line in 0..254 {
+            assert!(touch(&mut c, line));
+        }
+        assert_eq!(c.fill(254, false, false, false).unwrap().line, 0);
+        assert_eq!(c.fill(0, false, false, false).unwrap().line, 1);
     }
 
     #[test]

@@ -38,6 +38,64 @@ fn accesses(rng: &mut XorShift64Star) -> Vec<(u64, bool)> {
 
 const CASES: u64 = 64;
 
+/// Associativities in use (2, 4, 8, 16, 48) plus direct-mapped, each
+/// over four sets.
+const GEOMETRIES: [u32; 6] = [1, 2, 4, 8, 16, 48];
+
+#[test]
+fn set_assoc_matches_reference() {
+    // Drive the production cache and the move-to-front reference with
+    // the same seeded operation stream and compare every observable
+    // after every operation: return values, `was_prefetched`, each
+    // evicted line's fields and the occupancy. Each case draws its line
+    // space at half, once or twice the capacity, so runs are hit-heavy,
+    // balanced or eviction-heavy.
+    for assoc in GEOMETRIES {
+        let cfg = CacheConfig::new(4 * u64::from(assoc) * 64, assoc, 64);
+        for case in 0..CASES {
+            let mut rng = XorShift64Star::new(0xD1FF ^ u64::from(assoc) << 16 ^ case);
+            let span = cfg.lines() * [1, 2, 4][rng.below(3) as usize] / 2;
+            let mut got = SetAssocCache::new(cfg);
+            let mut want = reference::SetAssocCache::new(cfg);
+            assert_eq!(got.cfg(), want.cfg());
+            for step in 0..2_000 {
+                let line = rng.below(span);
+                let ctx = || format!("assoc {assoc}, case {case}, step {step}, line {line}");
+                match rng.below(1_000) {
+                    0..=399 => {
+                        let store = rng.next_u64() & 1 == 1;
+                        // Seed the out-parameter so a miss must overwrite it.
+                        let seed = rng.next_u64() & 1 == 1;
+                        let (mut wp_got, mut wp_want) = (seed, seed);
+                        let hit = got.access(line, store, &mut wp_got);
+                        assert_eq!(hit, want.access(line, store, &mut wp_want), "{}", ctx());
+                        assert_eq!(wp_got, wp_want, "was_prefetched: {}", ctx());
+                    }
+                    400..=799 => {
+                        let bits = rng.below(8);
+                        let (dirty, nt, prefetched) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+                        assert_eq!(
+                            got.fill(line, dirty, nt, prefetched),
+                            want.fill(line, dirty, nt, prefetched),
+                            "fill d={dirty} nt={nt} pf={prefetched}: {}",
+                            ctx()
+                        );
+                    }
+                    800..=899 => assert_eq!(got.probe(line), want.probe(line), "{}", ctx()),
+                    900..=998 => {
+                        assert_eq!(got.invalidate(line), want.invalidate(line), "{}", ctx())
+                    }
+                    _ => {
+                        got.clear();
+                        want.clear();
+                    }
+                }
+                assert_eq!(got.occupancy(), want.occupancy(), "{}", ctx());
+            }
+        }
+    }
+}
+
 #[test]
 fn set_assoc_laws() {
     // A line just filled must be present; occupancy never exceeds
@@ -180,5 +238,196 @@ fn dram_channel_arithmetic() {
         }
         assert_eq!(d.stats().busy_cycles, gaps.len() as u64 * 16);
         assert_eq!(d.stats().reads, gaps.len() as u64);
+    }
+}
+
+/// The move-to-front cache the production [`SetAssocCache`] replaced,
+/// kept verbatim as the reference model for `set_assoc_matches_reference`:
+/// ways physically ordered MRU..LRU, shifted on every hit and fill.
+mod reference {
+    use repf_cache::{CacheConfig, EvictedLine};
+
+    /// Per-line metadata bit flags.
+    mod flag {
+        pub const VALID: u8 = 1 << 0;
+        pub const DIRTY: u8 = 1 << 1;
+        /// Filled by a non-temporal prefetch: bypasses outer levels on eviction.
+        pub const NT: u8 = 1 << 2;
+        /// Filled by a prefetch and not yet referenced by a demand access.
+        pub const PREFETCHED: u8 = 1 << 3;
+    }
+
+    #[derive(Clone, Debug)]
+    pub struct SetAssocCache {
+        cfg: CacheConfig,
+        assoc: usize,
+        set_mask: u64,
+        /// `sets * assoc` tags, each set's ways ordered MRU..LRU.
+        tags: Vec<u64>,
+        /// Parallel metadata for `tags`.
+        meta: Vec<u8>,
+    }
+
+    impl SetAssocCache {
+        /// Build an empty cache with the given geometry.
+        pub fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets();
+            let assoc = cfg.assoc as usize;
+            SetAssocCache {
+                cfg,
+                assoc,
+                set_mask: sets - 1,
+                tags: vec![0; (sets * cfg.assoc as u64) as usize],
+                meta: vec![0; (sets * cfg.assoc as u64) as usize],
+            }
+        }
+
+        /// The geometry this cache was built with.
+        pub fn cfg(&self) -> &CacheConfig {
+            &self.cfg
+        }
+
+        #[inline]
+        fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+            let set = (line & self.set_mask) as usize;
+            let start = set * self.assoc;
+            start..start + self.assoc
+        }
+
+        /// Demand access. Returns `true` on hit; promotes the line to MRU,
+        /// marks it dirty on a store, and clears its `PREFETCHED` flag (the
+        /// prefetch proved useful). The out-parameter `was_prefetched` reports
+        /// whether this is the *first* demand touch of a prefetched line.
+        #[inline]
+        pub fn access(&mut self, line: u64, store: bool, was_prefetched: &mut bool) -> bool {
+            let range = self.set_range(line);
+            let (start, end) = (range.start, range.end);
+            for w in start..end {
+                if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
+                    *was_prefetched = self.meta[w] & flag::PREFETCHED != 0;
+                    let mut m = self.meta[w] & !flag::PREFETCHED;
+                    if store {
+                        m |= flag::DIRTY;
+                    }
+                    // Move to front (MRU).
+                    let tag = self.tags[w];
+                    self.tags.copy_within(start..w, start + 1);
+                    self.meta.copy_within(start..w, start + 1);
+                    self.tags[start] = tag;
+                    self.meta[start] = m;
+                    return true;
+                }
+            }
+            *was_prefetched = false;
+            false
+        }
+
+        /// Look up without disturbing LRU state.
+        #[inline]
+        pub fn probe(&self, line: u64) -> bool {
+            let range = self.set_range(line);
+            self.tags[range.clone()]
+                .iter()
+                .zip(&self.meta[range])
+                .any(|(&t, &m)| m & flag::VALID != 0 && t == line)
+        }
+
+        /// Insert `line` as MRU. If the line is already present its flags are
+        /// merged (dirty sticks, prefetched clears if the fill is a demand
+        /// fill) and no eviction happens. Returns the victim, if any.
+        #[inline]
+        pub fn fill(&mut self, line: u64, dirty: bool, nt: bool, prefetched: bool) -> Option<EvictedLine> {
+            let range = self.set_range(line);
+            let (start, end) = (range.start, range.end);
+            // Already present? Merge state and promote.
+            for w in start..end {
+                if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
+                    let mut m = self.meta[w];
+                    if dirty {
+                        m |= flag::DIRTY;
+                    }
+                    if !prefetched {
+                        m &= !flag::PREFETCHED;
+                    }
+                    if nt {
+                        m |= flag::NT;
+                    }
+                    self.tags.copy_within(start..w, start + 1);
+                    self.meta.copy_within(start..w, start + 1);
+                    self.tags[start] = line;
+                    self.meta[start] = m;
+                    return None;
+                }
+            }
+            // Victim = LRU way (last). Prefer an invalid way if one exists.
+            let mut victim_way = end - 1;
+            for w in start..end {
+                if self.meta[w] & flag::VALID == 0 {
+                    victim_way = w;
+                    break;
+                }
+            }
+            let evicted = if self.meta[victim_way] & flag::VALID != 0 {
+                let m = self.meta[victim_way];
+                Some(EvictedLine {
+                    line: self.tags[victim_way],
+                    dirty: m & flag::DIRTY != 0,
+                    nt: m & flag::NT != 0,
+                    unused_prefetch: m & flag::PREFETCHED != 0,
+                })
+            } else {
+                None
+            };
+            // Shift [start..victim_way) down one and install at MRU.
+            self.tags.copy_within(start..victim_way, start + 1);
+            self.meta.copy_within(start..victim_way, start + 1);
+            self.tags[start] = line;
+            let mut m = flag::VALID;
+            if dirty {
+                m |= flag::DIRTY;
+            }
+            if nt {
+                m |= flag::NT;
+            }
+            if prefetched {
+                m |= flag::PREFETCHED;
+            }
+            self.meta[start] = m;
+            evicted
+        }
+
+        /// Remove `line` if present, returning its state.
+        pub fn invalidate(&mut self, line: u64) -> Option<EvictedLine> {
+            let range = self.set_range(line);
+            let (start, end) = (range.start, range.end);
+            for w in start..end {
+                if self.meta[w] & flag::VALID != 0 && self.tags[w] == line {
+                    let m = self.meta[w];
+                    let ev = EvictedLine {
+                        line,
+                        dirty: m & flag::DIRTY != 0,
+                        nt: m & flag::NT != 0,
+                        unused_prefetch: m & flag::PREFETCHED != 0,
+                    };
+                    // Compact: shift the ways after it up one, invalidate LRU.
+                    self.tags.copy_within(w + 1..end, w);
+                    self.meta.copy_within(w + 1..end, w);
+                    self.meta[end - 1] = 0;
+                    return Some(ev);
+                }
+            }
+            None
+        }
+
+        /// Number of valid lines currently held (O(capacity); for tests and
+        /// occupancy reporting, not the hot path).
+        pub fn occupancy(&self) -> u64 {
+            self.meta.iter().filter(|&&m| m & flag::VALID != 0).count() as u64
+        }
+
+        /// Clear all content.
+        pub fn clear(&mut self) {
+            self.meta.fill(0);
+        }
     }
 }
