@@ -11,7 +11,7 @@ use repf_cache::{CacheConfig, FunctionalCacheSim, MemorySystem};
 use repf_core::analyze;
 use repf_sampling::{Sampler, SamplerConfig};
 use repf_sim::{amd_phenom_ii, intel_i7_2600k, CoreSetup, Sim};
-use repf_statstack::StatStackModel;
+use repf_statstack::{place, place_exhaustive, CoRunModel, StatStackModel};
 use repf_trace::patterns::{StridedStream, StridedStreamCfg};
 use repf_trace::{Pc, TraceSource, TraceSourceExt};
 use repf_workloads::{build, BenchmarkId, BuildOptions};
@@ -101,6 +101,38 @@ fn bench_statstack() {
     });
     let cfg = amd_phenom_ii().analysis_config(6.0);
     bench("statstack", "full-analysis-pipeline", 0, || analyze(&profile, &cfg));
+}
+
+fn bench_corun_and_placement() {
+    // One fitted model per benchmark, each sampled from its own trace,
+    // so the members differ in footprint and intensity.
+    let sampler = Sampler::new(SamplerConfig {
+        sample_period: 101,
+        line_bytes: 64,
+        seed: 1,
+    });
+    let models: Vec<StatStackModel> = BenchmarkId::all()
+        .into_iter()
+        .map(|id| StatStackModel::from_profile(&sampler.profile(&mut workload(id))))
+        .collect();
+    let refs: Vec<&StatStackModel> = models.iter().collect();
+    let lam: Vec<f64> = refs.iter().map(|m| m.sample_count() as f64).collect();
+    for mib in [1u64, 4, 8] {
+        bench("corun", &format!("4-sessions-{mib}MiB"), 0, || {
+            let mut co = CoRunModel::new();
+            refs[..4].iter().for_each(|m| co.push(m));
+            co.answer_bytes(&[mib << 20])
+        });
+    }
+    for (n, groups, capacity) in [(8usize, 2u32, 4u32), (12, 3, 4)] {
+        let shape = format!("{n}-into-{groups}x{capacity}");
+        bench("placement", &format!("place-{shape}"), 0, || {
+            place(&refs[..n], &lam[..n], groups, capacity, 8 << 20, 1)
+        });
+        bench("placement", &format!("place-exhaustive-{shape}"), 0, || {
+            place_exhaustive(&refs[..n], &lam[..n], groups, capacity, 8 << 20)
+        });
+    }
 }
 
 fn bench_caches() {
@@ -193,6 +225,7 @@ fn main() {
     bench_trace_generation();
     bench_sampler();
     bench_statstack();
+    bench_corun_and_placement();
     bench_caches();
     bench_timing_sim();
 }

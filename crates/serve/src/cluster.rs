@@ -127,6 +127,13 @@ impl ClusterState {
         (rs.epoch, rs.ring.clone())
     }
 
+    /// `session`'s owner under the current ring (`None` until
+    /// clustered), read under the lock without copying the ring.
+    pub fn owner_of(&self, session: &str) -> Option<String> {
+        let rs = self.rings.lock().expect("ring state lock poisoned");
+        rs.ring.as_ref()?.owner(session).map(str::to_string)
+    }
+
     /// Adopt `ring` at `epoch`. Rejected (returning the current epoch)
     /// when `epoch` does not advance — duplicate or stale `RingSet`s
     /// must not re-trigger migration sweeps. On success the previous
@@ -399,6 +406,17 @@ mod tests {
         assert_eq!(cs.route("anything", false, &store), Route::Local);
         assert_eq!(cs.route("anything", true, &store), Route::Local);
         assert_eq!(cs.snapshot().0, 0);
+        assert_eq!(cs.owner_of("anything"), None);
+    }
+
+    #[test]
+    fn owner_of_agrees_with_the_ring() {
+        let cs = clustered("a:1", &["a:1", "b:2", "c:3"]);
+        let ring = cs.snapshot().1.unwrap();
+        for i in 0..200 {
+            let s = format!("s{i}");
+            assert_eq!(cs.owner_of(&s).as_deref(), ring.owner(&s));
+        }
     }
 
     #[test]

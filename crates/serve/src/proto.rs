@@ -40,6 +40,26 @@ pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 /// unbounded work per request.
 pub const MAX_CORUN_SESSIONS: usize = 16;
 
+/// Most cache sizes one [`Request::QueryMrc`], [`Request::QueryPcMrc`]
+/// or [`Request::CoRun`] may list; the server refuses longer lists with
+/// an `Unsupported` error before any model is touched. Work grows with
+/// the list, and so does the reply: at this cap a
+/// [`MAX_CORUN_SESSIONS`]-member co-run answers in at most 5.5 MB
+/// (4.5 MB of ratios plus up to 1 MiB of echoed names), inside
+/// [`MAX_FRAME_BYTES`]. The event-loop tests send 20,000 sizes to
+/// build up large replies; the benchmark sends at most 3.
+pub const MAX_QUERY_SIZES: usize = 32_768;
+
+/// Largest canonical search tree (`repf_statstack::tree_nodes`) one
+/// [`Request::Place`] may ask for; the server refuses larger shapes
+/// with an `Unsupported` error before any model is resolved. When
+/// every grouping ties, nothing prunes and the search visits the whole
+/// tree. The cap admits 12 sessions in 3 groups of 4 (18,378 nodes)
+/// and refuses 12 sessions in 12 groups of 12 (5,034,585 nodes, 8.8 s
+/// on one worker of a 2-vCPU VM). At 16 sessions only the trivial
+/// shapes (one group, or groups of one) remain.
+pub const MAX_PLACE_TREE_NODES: u64 = 20_000;
+
 /// Why a frame or payload failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtoError {
@@ -1161,6 +1181,22 @@ impl Request {
 }
 
 impl Response {
+    /// [`encode`](Self::encode) for the wire: a reply whose frame would
+    /// exceed [`MAX_FRAME_BYTES`], which every reader refuses, goes out
+    /// as an `Unsupported` error naming its size instead.
+    pub fn encode_reply(&self) -> Vec<u8> {
+        let frame = self.encode();
+        let len = frame.len() - 4;
+        if len <= MAX_FRAME_BYTES as usize {
+            return frame;
+        }
+        Response::Error {
+            code: ErrorCode::Unsupported,
+            message: format!("reply of {len} bytes exceeds the frame cap of {MAX_FRAME_BYTES}"),
+        }
+        .encode()
+    }
+
     /// Serialize into a full frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::frame();
@@ -2086,6 +2122,47 @@ mod tests {
             Request::decode(&e.0),
             Err(ProtoError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn replies_over_the_frame_cap_encode_as_typed_errors() {
+        // An `Mrc` frame's length field counts version, type, a 4-byte
+        // count and 8 bytes per ratio: 6 + 8·n.
+        let fits = (MAX_FRAME_BYTES as usize - 6) / 8;
+        let ok = Response::Mrc {
+            ratios: vec![0.5; fits],
+        };
+        assert_eq!(ok.encode_reply(), ok.encode());
+        let over = Response::Mrc {
+            ratios: vec![0.5; fits + 1],
+        };
+        let frame = over.encode_reply();
+        let body = read_frame(&mut frame.as_slice())
+            .expect("the replacement frame is readable")
+            .expect("one frame");
+        match Response::decode(&body).expect("decodes") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Unsupported);
+                assert!(message.contains("exceeds the frame cap"), "{message}");
+            }
+            other => panic!("want an error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_largest_co_run_reply_fits_a_frame() {
+        // Every session name at the u16 length limit, every list at
+        // the size cap.
+        let name = "n".repeat(u16::MAX as usize);
+        let worst = Response::CoRun {
+            per_session: (0..MAX_CORUN_SESSIONS)
+                .map(|_| (name.clone(), vec![0.5; MAX_QUERY_SIZES]))
+                .collect(),
+            throughput: vec![1.0; MAX_QUERY_SIZES],
+        };
+        let frame = worst.encode_reply();
+        assert_eq!(frame, worst.encode());
+        assert!(frame.len() - 4 <= MAX_FRAME_BYTES as usize);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::client::{Client, ClientError};
 use crate::cluster::{apply_membership, RingSpec};
 use crate::proto::{
     ErrorCode, MachineId, Request, Response, SampleBatch, Target, MAX_CORUN_SESSIONS,
+    MAX_PLACE_TREE_NODES, MAX_QUERY_SIZES,
 };
 use crate::ring::{Ring, DEFAULT_VNODES};
 use crate::server::{start, ServeConfig, ServerHandle};
@@ -346,11 +347,19 @@ impl Oracle {
         }
     }
 
-    fn empty_sizes() -> Response {
-        Response::Error {
-            code: ErrorCode::Unsupported,
-            message: "empty size list".into(),
+    /// Mirrors the server's `validate_sizes`: empty, then longer than
+    /// [`MAX_QUERY_SIZES`].
+    fn validate_sizes(sizes: &[u64]) -> Option<Response> {
+        if sizes.is_empty() {
+            return Some(Self::unsupported("empty size list".into()));
         }
+        if sizes.len() > MAX_QUERY_SIZES {
+            return Some(Self::unsupported(format!(
+                "{} sizes exceed the cap of {MAX_QUERY_SIZES}",
+                sizes.len()
+            )));
+        }
+        None
     }
 
     fn unsupported(message: String) -> Response {
@@ -411,8 +420,8 @@ impl Oracle {
         if let Some(err) = Self::validate_session_list(names, intensities) {
             return err;
         }
-        if sizes.is_empty() {
-            return Self::empty_sizes();
+        if let Some(err) = Self::validate_sizes(sizes) {
+            return err;
         }
         let models = match self.fitted_models(names) {
             Ok(m) => m,
@@ -455,6 +464,12 @@ impl Oracle {
             return Self::unsupported(format!(
                 "{} sessions do not fit in {groups} groups of {capacity}",
                 names.len()
+            ));
+        }
+        let tree = repf_statstack::tree_nodes(names.len(), groups, capacity);
+        if tree > MAX_PLACE_TREE_NODES {
+            return Self::unsupported(format!(
+                "placement search tree of {tree} nodes exceeds the cap of {MAX_PLACE_TREE_NODES}"
             ));
         }
         let models = match self.fitted_models(names) {
@@ -518,8 +533,8 @@ impl Oracle {
                 target: Target::Session(name),
                 sizes_bytes,
             } => {
-                if sizes_bytes.is_empty() {
-                    return Some(Self::empty_sizes());
+                if let Some(err) = Self::validate_sizes(sizes_bytes) {
+                    return Some(err);
                 }
                 Some(match self.model_of(name) {
                     None => Self::unknown(name),
@@ -533,8 +548,8 @@ impl Oracle {
                 pc,
                 sizes_bytes,
             } => {
-                if sizes_bytes.is_empty() {
-                    return Some(Self::empty_sizes());
+                if let Some(err) = Self::validate_sizes(sizes_bytes) {
+                    return Some(err);
                 }
                 Some(match self.model_of(name) {
                     None => Self::unknown(name),
@@ -777,7 +792,7 @@ fn kind_matches(req: &Request, resp: &Response) -> bool {
 
 /// Strip the length prefix from an encoded frame.
 fn body(resp: &Response) -> Vec<u8> {
-    resp.encode()[4..].to_vec()
+    resp.encode_reply()[4..].to_vec()
 }
 
 /// The per-request replay machinery shared by the static and the

@@ -950,11 +950,8 @@ impl ServeState {
     }
 
     fn handle_mrc(&self, target: &Target, sizes: &[u64]) -> Response {
-        if sizes.is_empty() {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "empty size list".into(),
-            };
+        if let Some(err) = Self::validate_sizes(sizes) {
+            return err;
         }
         self.with_model(target, |m| Response::Mrc {
             ratios: sizes.iter().map(|&b| m.miss_ratio_bytes(b)).collect(),
@@ -962,11 +959,8 @@ impl ServeState {
     }
 
     fn handle_pc_mrc(&self, target: &Target, pc: u32, sizes: &[u64]) -> Response {
-        if sizes.is_empty() {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "empty size list".into(),
-            };
+        if let Some(err) = Self::validate_sizes(sizes) {
+            return err;
         }
         self.with_model(target, |m| Response::PcMrc {
             ratios: m
@@ -1019,6 +1013,27 @@ impl ServeState {
                 Response::Plan(proto::PlanWire::from_plan(&analysis.plan, delta))
             }
         }
+    }
+
+    /// The size-list check of `QueryMrc`, `QueryPcMrc` and `CoRun`:
+    /// empty, then longer than [`proto::MAX_QUERY_SIZES`]. Part of the
+    /// replay contract, like the session-list checks below.
+    fn validate_sizes(sizes: &[u64]) -> Option<Response> {
+        let message = if sizes.is_empty() {
+            "empty size list".to_string()
+        } else if sizes.len() > proto::MAX_QUERY_SIZES {
+            format!(
+                "{} sizes exceed the cap of {}",
+                sizes.len(),
+                proto::MAX_QUERY_SIZES
+            )
+        } else {
+            return None;
+        };
+        Some(Response::Error {
+            code: ErrorCode::Unsupported,
+            message,
+        })
     }
 
     /// Shared validation prefix for `CoRun` and `Place`: empty list,
@@ -1086,18 +1101,16 @@ impl ServeState {
     /// Predict the named sessions' shared-cache behaviour when co-run.
     /// Validation order is part of the replay contract (the oracle
     /// mirrors it byte for byte): empty list, over-limit list, duplicate
-    /// name, intensity mismatch, empty sizes, then first unresolvable
-    /// session in request order. An empty `intensities` keeps the
-    /// sample-count inference bit-exact; a full-length one overrides it.
+    /// name, intensity mismatch, empty or over-limit sizes, then first
+    /// unresolvable session in request order. An empty `intensities`
+    /// keeps the sample-count inference bit-exact; a full-length one
+    /// overrides it.
     fn handle_co_run(&self, names: &[String], sizes: &[u64], intensities: &[f64]) -> Response {
         if let Some(err) = Self::validate_session_list(names, intensities) {
             return err;
         }
-        if sizes.is_empty() {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "empty size list".into(),
-            };
+        if let Some(err) = Self::validate_sizes(sizes) {
+            return err;
         }
         let models = match self.resolve_models(names) {
             Ok(m) => m,
@@ -1123,10 +1136,13 @@ impl ServeState {
     /// minimizing the predicted aggregate miss ratio at `size_bytes`.
     /// Validation order (the replay oracle mirrors it): empty list,
     /// over-limit list, duplicate name, intensity mismatch, zero
-    /// groups/capacity, infeasible N > G·k, then first unresolvable
-    /// session in request order. Models resolve through the same
+    /// groups/capacity, infeasible N > G·k, a search tree over
+    /// [`proto::MAX_PLACE_TREE_NODES`], then first unresolvable session
+    /// in request order. Models resolve through the same
     /// `ModelPullCurrent` path as co-run, so any ring member answers
-    /// with identical bytes.
+    /// with identical bytes. The search runs on the calling worker
+    /// alone, so one request holds one worker rather than every core;
+    /// the answer is the same at any thread count.
     fn handle_place(
         &self,
         names: &[String],
@@ -1153,6 +1169,16 @@ impl ServeState {
                 ),
             };
         }
+        let tree = repf_statstack::tree_nodes(names.len(), groups, capacity);
+        if tree > proto::MAX_PLACE_TREE_NODES {
+            return Response::Error {
+                code: ErrorCode::Unsupported,
+                message: format!(
+                    "placement search tree of {tree} nodes exceeds the cap of {}",
+                    proto::MAX_PLACE_TREE_NODES
+                ),
+            };
+        }
         let models = match self.resolve_models(names) {
             Ok(m) => m,
             Err(e) => return e,
@@ -1163,11 +1189,8 @@ impl ServeState {
         } else {
             intensities.to_vec()
         };
-        // Thread count does not affect the answer (the search is
-        // bit-identical by construction), only the wall clock.
-        let threads = Exec::from_env().threads();
         let result =
-            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes, threads);
+            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes, 1);
         Response::Placement {
             groups: result
                 .groups
@@ -1191,8 +1214,7 @@ impl ServeState {
         if let Some(model) = self.current_model(name) {
             return Some(model);
         }
-        let (_, ring) = self.cluster.snapshot();
-        let owner = ring.as_ref()?.owner(name)?.to_string();
+        let owner = self.cluster.owner_of(name)?;
         if owner == self.cluster.self_addr() {
             return None; // we are the owner and don't have it: unknown
         }
@@ -1674,7 +1696,7 @@ fn dispatch(state: &Arc<ServeState>, pool: &WorkerPool, req: Request) -> Respons
 }
 
 fn send(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-    proto::write_frame(w, &resp.encode())
+    proto::write_frame(w, &resp.encode_reply())
 }
 
 // --- epoll mode ---
@@ -2145,7 +2167,7 @@ impl EpollLoop {
                 if matches!(resp, Response::Error { .. }) {
                     self.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
                 }
-                conn.out.push_frame(resp.encode());
+                conn.out.push_frame(resp.encode_reply());
             }
             // The replies open the wait for the next request: restart
             // the idle clock like the threaded path re-entering

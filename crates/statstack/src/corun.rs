@@ -20,10 +20,22 @@
 //! issues about `d · r_j` references of its own, touching `S_j(⌊d·r_j⌋)`
 //! expected *unique* lines — which all sit between the subject's two
 //! accesses and push its line down the shared LRU stack. A subject
-//! access misses a shared cache of `L` lines iff `S_shared ≥ L`, so the
-//! per-member shared miss ratio is answered exactly like the solo model:
-//! find the smallest distance whose composed stack distance reaches `L`
-//! and count the samples at or beyond it.
+//! access misses a shared cache of `L` lines iff `S_shared ≥ L`.
+//!
+//! Member `i`'s shared miss count is therefore the number of its
+//! completed samples whose distance `D` has `S_shared_i(D) ≥ L`, plus
+//! its dangling samples, which miss at every size. `S_shared_i` is
+//! monotone in `d`: each `S` is an integer total over a fixed sample
+//! count (and rounding is monotone), `⌊d·r⌋` is monotone, and the peer
+//! terms are summed in sorted order, so raising any term never lowers
+//! the sum. The missing distances thus form a suffix of each of `i`'s
+//! sorted sample levels, and one `partition_point` per level finds it,
+//! probing `S_shared_i` at `i`'s own distances only. That search ends
+//! after `log₂` of the level's length whatever `S_shared_i` does past
+//! the largest distance, so it needs no plateau test. (A search for the
+//! threshold over all integers does: it must notice that every
+//! contributing model is past its largest distance with no dangling
+//! mass, or it would double its bound forever.)
 //!
 //! The composition reuses the members' cached fits as-is — no refit, no
 //! merged profile — so a server can answer co-run queries for any subset
@@ -118,89 +130,12 @@ impl<'a> CoRunModel<'a> {
         Some(lj / li)
     }
 
-    fn has_active_peer(&self, i: usize) -> bool {
-        (0..self.members.len()).any(|j| self.rate(i, j).is_some())
-    }
-
-    /// `⌊d · r⌋`, saturating at `u64::MAX` (a peer that inflates past
-    /// every observed distance contributes its full unique footprint).
-    fn inflate(d: u64, r: f64) -> u64 {
-        let x = (d as f64 * r).floor();
-        if x >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            x as u64
-        }
-    }
-
-    /// Composed stack distance member `i` observes for solo reuse
-    /// distance `d`. Peer terms are summed in `total_cmp`-sorted order
-    /// so the result is independent of member insertion order.
-    fn shared_stack_distance(&self, i: usize, d: u64) -> f64 {
-        let mut peers: Vec<f64> = (0..self.members.len())
-            .filter_map(|j| {
-                let r = self.rate(i, j)?;
-                Some(self.members[j].model.stack_distance(Self::inflate(d, r)))
-            })
-            .collect();
-        peers.sort_unstable_by(f64::total_cmp);
-        self.members[i].model.stack_distance(d) + peers.iter().sum::<f64>()
-    }
-
-    /// Smallest solo reuse distance whose composed stack distance
-    /// reaches `lines`, or `None` when no finite distance does (then
-    /// only member `i`'s dangling samples miss). Mirrors
-    /// [`StatStackModel::distance_threshold`], with the plateau test
-    /// extended over every active member: the composed `S` stops
-    /// growing only once *all* contributing models are past their
-    /// largest observed distance with no dangling mass.
-    fn shared_distance_threshold(&self, i: usize, lines: u64) -> Option<u64> {
-        if lines == 0 {
-            return Some(0);
-        }
-        let target = lines as f64;
-        let subject = self.members[i].model;
-        // Past `cap`, every contributing survival function is
-        // dangling-only; if none has dangling mass, S has plateaued.
-        let mut cap = subject.max_distance().saturating_add(1);
-        let mut dangling_free = subject.dangling() == 0;
-        for j in 0..self.members.len() {
-            let Some(r) = self.rate(i, j) else { continue };
-            let m = self.members[j].model;
-            let peer_cap = ((m.max_distance() as f64 + 1.0) / r).ceil();
-            let peer_cap = if peer_cap >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                (peer_cap as u64).saturating_add(1)
-            };
-            cap = cap.max(peer_cap);
-            // An empty peer model answers the worst case S(d) = d, which
-            // never plateaus — treat it as dangling mass.
-            dangling_free &= m.dangling() == 0 && m.sample_count() > 0;
-        }
-        let mut hi = lines.max(1);
-        loop {
-            if self.shared_stack_distance(i, hi) >= target {
-                break;
-            }
-            if hi > cap && dangling_free {
-                return None;
-            }
-            hi = hi.saturating_mul(2);
-            if hi == u64::MAX {
-                return None;
-            }
-        }
-        let mut lo = 0u64;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.shared_stack_distance(i, mid) >= target {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(lo)
+    /// Member `i`'s active peers: each one's model and its rate
+    /// relative to `i`.
+    fn active_peers(&self, i: usize) -> Vec<(&'a StatStackModel, f64)> {
+        (0..self.members.len())
+            .filter_map(|j| Some((self.members[j].model, self.rate(i, j)?)))
+            .collect()
     }
 
     /// Member `i`'s predicted miss ratio in a shared fully-associative
@@ -213,10 +148,11 @@ impl<'a> CoRunModel<'a> {
         if n == 0 {
             return 0.0;
         }
-        if !self.has_active_peer(i) {
+        let peers = self.active_peers(i);
+        if peers.is_empty() {
             return m.miss_ratio(lines);
         }
-        m.misses_at(self.shared_distance_threshold(i, lines)) as f64 / n as f64
+        shared_misses(m, &peers, lines) as f64 / n as f64
     }
 
     /// Member `i`'s predicted shared miss ratio at `bytes` capacity
@@ -260,12 +196,50 @@ impl<'a> CoRunModel<'a> {
     }
 }
 
+/// `⌊d · r⌋`, saturating at `u64::MAX` (a peer that inflates past
+/// every observed distance contributes its full unique footprint).
+fn inflate(d: u64, r: f64) -> u64 {
+    let x = (d as f64 * r).floor();
+    if x >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        x as u64
+    }
+}
+
+/// How many of `subject`'s samples miss a shared cache of `lines`
+/// lines next to `peers` (each peer's model and rate relative to the
+/// subject): the completed distances `D` with `S_shared(D) ≥ lines`,
+/// plus every dangling sample. `S_shared` is monotone in `D`, so one
+/// `partition_point` per level of the subject's sorted distances finds
+/// the count. Peer terms are summed in `total_cmp`-sorted order, which
+/// makes the sum independent of member insertion order; the sort reuses
+/// one buffer across probes.
+fn shared_misses(subject: &StatStackModel, peers: &[(&StatStackModel, f64)], lines: u64) -> u64 {
+    let target = lines as f64;
+    let mut terms: Vec<f64> = Vec::with_capacity(peers.len());
+    let mut hits = |d: u64| {
+        terms.clear();
+        terms.extend(peers.iter().map(|&(p, r)| p.stack_distance(inflate(d, r))));
+        terms.sort_unstable_by(f64::total_cmp);
+        subject.stack_distance(d) + terms.iter().sum::<f64>() < target
+    };
+    let completed: u64 = subject
+        .completed_levels()
+        .into_iter()
+        .map(|sorted| (sorted.len() - sorted.partition_point(|&d| hits(d))) as u64)
+        .sum();
+    completed + subject.dangling()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repf_sampling::{Sampler, SamplerConfig};
+    use crate::model::ModelParts;
+    use repf_sampling::{DanglingSample, ReuseSample, Sampler, SamplerConfig};
     use repf_trace::patterns::{StridedStream, StridedStreamCfg};
-    use repf_trace::Pc;
+    use repf_trace::rng::XorShift64Star;
+    use repf_trace::{AccessKind, Pc};
 
     fn loop_model(lines: u64, passes: u32) -> StatStackModel {
         let mut src =
@@ -327,5 +301,155 @@ mod tests {
             }
             assert!(ans.throughput[k] > 0.0 && ans.throughput[k] <= 2.0 + 1e-9);
         }
+    }
+
+    /// The composed stack distance, summed exactly as `shared_misses`
+    /// sums it.
+    fn reference_shared_stack_distance(co: &CoRunModel, i: usize, d: u64) -> f64 {
+        let mut peers: Vec<f64> = co
+            .active_peers(i)
+            .into_iter()
+            .map(|(m, r)| m.stack_distance(inflate(d, r)))
+            .collect();
+        peers.sort_unstable_by(f64::total_cmp);
+        co.members[i].model.stack_distance(d) + peers.iter().sum::<f64>()
+    }
+
+    /// The smallest solo reuse distance whose composed stack distance
+    /// reaches `lines`, found the way the shared miss count used to find
+    /// it: an exponential search from `lines`, then bisection over the
+    /// integers, giving up once every contributing model is past its
+    /// largest distance with no dangling mass (`None`: only dangling
+    /// samples miss). Kept as the reference the count is checked
+    /// against.
+    fn reference_threshold(co: &CoRunModel, i: usize, lines: u64) -> Option<u64> {
+        if lines == 0 {
+            return Some(0);
+        }
+        let target = lines as f64;
+        let subject = co.members[i].model;
+        let mut cap = subject.max_distance().saturating_add(1);
+        let mut dangling_free = subject.dangling() == 0;
+        for (m, r) in co.active_peers(i) {
+            let peer_cap = ((m.max_distance() as f64 + 1.0) / r).ceil();
+            let peer_cap = if peer_cap >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                (peer_cap as u64).saturating_add(1)
+            };
+            cap = cap.max(peer_cap);
+            dangling_free &= m.dangling() == 0 && m.sample_count() > 0;
+        }
+        let mut hi = lines.max(1);
+        loop {
+            if reference_shared_stack_distance(co, i, hi) >= target {
+                break;
+            }
+            if hi > cap && dangling_free {
+                return None;
+            }
+            hi = hi.saturating_mul(2);
+            if hi == u64::MAX {
+                return None;
+            }
+        }
+        let mut lo = 0u64;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if reference_shared_stack_distance(co, i, mid) >= target {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
+
+    fn parts_model(line_bytes: u64, sorted: Vec<u64>, dangling: u64) -> StatStackModel {
+        StatStackModel::from_parts(ModelParts {
+            line_bytes,
+            per_pc: vec![(Pc(1), sorted.clone(), dangling)],
+            sorted,
+            dangling,
+        })
+    }
+
+    /// Seeded models: empty, dangling-only, plateaued (no dangling
+    /// mass), long-tailed, and two-level ones with a non-empty delta.
+    fn seeded_models(seed: u64) -> Vec<StatStackModel> {
+        let mut rng = XorShift64Star::new(seed);
+        let mut geo = |n: usize, mean: f64| -> Vec<u64> {
+            (0..n).map(|_| rng.geometric(mean)).collect()
+        };
+        let loop_d = vec![255u64; 300];
+        let base = parts_model(64, geo(800, 200.0), 6);
+        let batch: Vec<ReuseSample> = geo(50, 700.0)
+            .into_iter()
+            .map(|distance| ReuseSample {
+                start_pc: Pc(2),
+                start_kind: AccessKind::Load,
+                end_pc: Pc(2),
+                end_kind: AccessKind::Load,
+                distance,
+                start_index: 0,
+            })
+            .collect();
+        let dangling = [DanglingSample {
+            pc: Pc(2),
+            kind: AccessKind::Load,
+            start_index: 0,
+        }];
+        let mut pending = StatStackModel::builder(64);
+        pending.push_batch(&batch, &dangling);
+        let two_level = base.extend(&pending);
+        assert!(!two_level.completed_levels()[1].is_empty(), "delta level in use");
+        let mut tail = geo(400, 40.0);
+        tail.extend(geo(20, 1e7));
+        vec![
+            parts_model(64, Vec::new(), 0),
+            parts_model(64, Vec::new(), 30),
+            parts_model(64, geo(15, 80.0), 300),
+            parts_model(64, loop_d, 0),
+            two_level,
+            parts_model(64, tail, 0),
+            parts_model(64, vec![3], 0),
+            parts_model(128, geo(600, 30.0), 12),
+        ]
+    }
+
+    #[test]
+    fn miss_counts_match_the_bisection_reference() {
+        let models = seeded_models(0x5EA2C4);
+        let mut rng = XorShift64Star::new(0xB15EC7);
+        let rates = [1.0, 0.5, 3.0, 1e-300, 1e300, 5e-324, f64::INFINITY, 0.0];
+        let mut compared = 0u32;
+        for case in 0..400u32 {
+            let k = 2 + rng.below(3) as usize;
+            let mut co = CoRunModel::new();
+            for _ in 0..k {
+                let m = &models[rng.below(models.len() as u64) as usize];
+                let lam = m.sample_count().max(1) as f64 * rates[rng.below(8) as usize];
+                co.push_with_intensity(m, lam);
+            }
+            let i = rng.below(k as u64) as usize;
+            let peers = co.active_peers(i);
+            if peers.is_empty() || co.members[i].model.sample_count() == 0 {
+                continue;
+            }
+            let m = co.members[i].model;
+            let lines = match case % 4 {
+                0 => rng.below(4),
+                1 => rng.below(1 << 12),
+                2 => 1 + rng.geometric(1e4),
+                _ => [1 << 30, 1 << 50, u64::MAX][rng.below(3) as usize],
+            };
+            assert_eq!(
+                shared_misses(m, &peers, lines),
+                m.misses_at(reference_threshold(&co, i, lines)),
+                "case {case}: member {i} of {k} at {lines} lines"
+            );
+            compared += 1;
+        }
+        assert!(compared > 200, "only {compared} cases had an active peer");
     }
 }

@@ -231,6 +231,11 @@ impl StatStackModel {
         self.base.dangling + self.delta.dangling
     }
 
+    /// Each level's completed distances, sorted ascending.
+    pub(crate) fn completed_levels(&self) -> [&[u64]; 2] {
+        [&self.base.sorted, &self.delta.sorted]
+    }
+
     /// The largest completed distance (0 when there is none).
     pub(crate) fn max_distance(&self) -> u64 {
         self.levels()

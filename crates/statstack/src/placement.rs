@@ -27,8 +27,15 @@
 //!    instances whose shape forces every session to share
 //!    (`n-1 > (G-1)·k`, e.g. `N = G·k`), a session's final term is ≥
 //!    the minimum of its shared term over forced-size peer subsets
-//!    (capped at 3 peers; the solo term otherwise). The node bound
-//!    re-minimizes those floors under each partial assignment's
+//!    (capped at 3 peers; the solo term otherwise). The floors come
+//!    from the memo: session `s`'s term with peers `P` is its entry in
+//!    the evaluation of the set `{s} ∪ P`, the same float as composing
+//!    `s` first, because composition does not depend on insertion
+//!    order. Building the floors thus evaluates every group of
+//!    `forced + 1` members once (all 70 four-member groups at the
+//!    `ring` workload's `N=8, G=2, k=4`), and when groups hold
+//!    `forced + 1` members the search then finds every full group
+//!    already evaluated. The node bound re-minimizes those floors under each partial assignment's
 //!    constraints — an assigned member's peers must include its
 //!    current co-members, an unassigned session's peer subsets must
 //!    still be *realizable* given group occupancy — so committing a
@@ -42,6 +49,16 @@
 //!    exhaustive enumeration returns — the lexicographically least
 //!    minimal assignment (ties broken on the canonical choice
 //!    vector).
+//!
+//!    What the bound buys, single-threaded over the unit tests'
+//!    `pool()` models on a 2-vCPU Xeon VM (EXPERIMENTS.md, "Placement
+//!    search"): at `N=8, G=2, k=4` it explores 25–126 of 126 nodes in
+//!    0.7–1.2 ms, against 0.8–1.0 ms for [`place_exhaustive`]. At
+//!    `N=12, G=3, k=4` it explores 150–203 of 18,378 nodes in 6–9 ms
+//!    where it prunes (32 KiB, 64 KiB), against 9–13 ms exhaustive;
+//!    where every grouping ties (256 KiB, 8 MiB) nothing prunes and
+//!    the per-node bound makes the full walk cost 63–86 ms, against
+//!    8–13 ms.
 //! 3. **Deterministic parallelism** in the style of `repf_sim::Exec`.
 //!    A sequential breadth-first pass expands the tree to a
 //!    thread-count-*independent* frontier (≤ [`FRONTIER_TARGET`]
@@ -55,7 +72,9 @@
 //!
 //! [`place_exhaustive`] runs the same canonical enumeration with
 //! pruning disabled — the brute-force baseline the `placement` bench
-//! scenario compares node counts against.
+//! scenario compares node counts against. [`tree_nodes`] counts that
+//! tree without walking it, which lets a server bound a request's work
+//! before resolving any model.
 
 use crate::corun::CoRunModel;
 use crate::model::StatStackModel;
@@ -402,20 +421,18 @@ impl<'a> Search<'a> {
         total
     }
 
-    /// The subject's own shared miss ratio when grouped with exactly
-    /// `peers` — one member term, not the group sum. Used only for the
-    /// admissible per-session lower bounds, so it is not memoized (each
-    /// (subject, small-peer-set) pair is evaluated once up front).
-    fn member_term(&self, subject: u16, peers: &[u16]) -> f64 {
-        let mut co = CoRunModel::new();
-        co.push_with_intensity(
-            self.models[subject as usize],
-            self.intensities[subject as usize],
-        );
-        for &p in peers {
-            co.push_with_intensity(self.models[p as usize], self.intensities[p as usize]);
-        }
-        co.miss_ratio_bytes(0, self.size_bytes)
+    /// Member `s`'s shared term when grouped with exactly `peers`
+    /// (sorted ascending, `s` not among them): its entry in the memoized
+    /// evaluation of the set `{s} ∪ peers`. Composition does not depend
+    /// on insertion order, so this equals composing `s` first.
+    fn term_with(&self, s: u16, peers: &[u16]) -> f64 {
+        let pos = peers.partition_point(|&p| p < s);
+        let mut members = Vec::with_capacity(peers.len() + 1);
+        members.extend_from_slice(&peers[..pos]);
+        members.push(s);
+        members.extend_from_slice(&peers[pos..]);
+        let cell = self.subset_entry(&members);
+        cell.get_or_init(|| self.eval_subset(&members)).1[pos]
     }
 
     /// How many peers every session is *forced* to have in any
@@ -433,15 +450,16 @@ impl<'a> Search<'a> {
     /// Monotonicity in peer intensity means a member's term with its
     /// real peer set `P` is ≥ its term with any subset of `P`; when
     /// `|P| ≥ j` is forced, `min` over all `j`-peer subsets is a valid
-    /// bound. `j` is capped at 3 — `n·C(n-1,3)` small compositions at
-    /// most (≈7k at the wire cap of 16 sessions, milliseconds), and on
-    /// dense instances (`N = G·k`, j_min = k−1 = 3 at k = 4) the
-    /// 3-peer floor lands within a couple percent of the optimum,
-    /// which is what the N=12 pruning-rate floor in the bench rests
-    /// on. Also returns the full enumeration table for
-    /// [`Search::member_floor`]'s conditional re-minimization.
+    /// bound. `j` is capped at 3 — the terms come from the memoized
+    /// evaluations of at most `C(n,4)` four-member groups (1,820 at
+    /// the wire cap of 16 sessions), and on dense instances
+    /// (`N = G·k`, j_min = k−1 = 3 at k = 4) the 3-peer floor lands
+    /// within a couple percent of the optimum, which is what the N=12
+    /// pruning-rate floor in the bench rests on. Also returns the full
+    /// enumeration table for [`Search::member_floor`]'s conditional
+    /// re-minimization.
     fn session_bound(&self, s: u16, n: usize, forced: usize) -> (f64, Vec<(Vec<u16>, f64)>) {
-        let solo = self.member_term(s, &[]);
+        let solo = self.term_with(s, &[]);
         if forced == 0 {
             return (solo, Vec::new());
         }
@@ -450,13 +468,13 @@ impl<'a> Search<'a> {
         match forced {
             1 => {
                 for &p in &peers {
-                    table.push((vec![p], self.member_term(s, &[p])));
+                    table.push((vec![p], self.term_with(s, &[p])));
                 }
             }
             2 => {
                 for (i, &p) in peers.iter().enumerate() {
                     for &q in &peers[i + 1..] {
-                        table.push((vec![p, q], self.member_term(s, &[p, q])));
+                        table.push((vec![p, q], self.term_with(s, &[p, q])));
                     }
                 }
             }
@@ -464,7 +482,7 @@ impl<'a> Search<'a> {
                 for (i, &p) in peers.iter().enumerate() {
                     for (j, &q) in peers.iter().enumerate().skip(i + 1) {
                         for &r in &peers[j + 1..] {
-                            table.push((vec![p, q, r], self.member_term(s, &[p, q, r])));
+                            table.push((vec![p, q, r], self.term_with(s, &[p, q, r])));
                         }
                     }
                 }
@@ -759,6 +777,48 @@ fn check_instance(models: &[&StatStackModel], intensities: &[f64], groups: u32, 
     );
 }
 
+/// The exact node count of the canonical search tree for `n` sessions
+/// in at most `groups` groups of at most `capacity` (`n ≤ groups ·
+/// capacity`): what [`place_exhaustive`] reports as `nodes_explored`,
+/// and what [`place`] visits when nothing prunes. Saturates at
+/// `u64::MAX`.
+///
+/// A node at depth `s` is a canonical assignment of the first `s`
+/// sessions, that is, a partition of them into at most `groups` blocks
+/// of at most `capacity`. A DP over sessions placed and groups opened
+/// counts them: with `part[s][b]` the partitions of `s` sessions into
+/// exactly `b` groups, the group holding the last session has some
+/// occupancy `j ≤ capacity`, whose other `j − 1` members come from the
+/// first `s − 1` sessions, so
+/// `part[s][b] = Σ_j C(s−1, j−1) · part[s−j][b−1]`.
+pub fn tree_nodes(n: usize, groups: u32, capacity: u32) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let max_groups = (groups as usize).min(n);
+    let capacity = (capacity as usize).min(n);
+    // choose[a][b] = C(a, b), by Pascal's rule.
+    let mut choose = vec![vec![0u64; n + 1]; n + 1];
+    for a in 0..=n {
+        choose[a][0] = 1;
+        for b in 1..=a {
+            choose[a][b] = choose[a - 1][b - 1].saturating_add(choose[a - 1][b]);
+        }
+    }
+    let mut part = vec![vec![0u64; max_groups + 1]; n + 1];
+    part[0][0] = 1;
+    for s in 1..=n {
+        for b in 1..=max_groups {
+            part[s][b] = (1..=capacity.min(s)).fold(0u64, |acc, j| {
+                acc.saturating_add(choose[s - 1][j - 1].saturating_mul(part[s - j][b - 1]))
+            });
+        }
+    }
+    part.iter()
+        .flatten()
+        .fold(0u64, |acc, &c| acc.saturating_add(c))
+}
+
 /// Pruned, memoized, deterministically parallel placement search.
 ///
 /// Preconditions (the serving layer validates them before calling):
@@ -788,14 +848,11 @@ pub fn place(
     // share (j_min ≥ 1), the floor tightens from the solo term to the
     // cheapest term over forced-size peer subsets — this is what makes
     // the bound bite on dense instances (N = G·k), where solo costs
-    // sit far below any reachable completion. Singleton subset costs
-    // also warm the memo.
+    // sit far below any reachable completion. The terms are read from
+    // the subset memo, so the search reuses every group they evaluate.
     let idx: Vec<u16> = (0..n as u16).collect();
     let forced = search.forced_peers(n).min(3);
-    let per_session = par_map(threads, &idx, |_, &i| {
-        search.subset_cost(&[i]);
-        search.session_bound(i, n, forced)
-    });
+    let per_session = par_map(threads, &idx, |_, &i| search.session_bound(i, n, forced));
     let mut lb = Vec::with_capacity(n);
     let mut tables = Vec::with_capacity(n);
     for (floor, table) in per_session {
@@ -1085,5 +1142,37 @@ mod tests {
         assert_eq!(r.pruned, 0);
         assert_eq!(r.total_miss_ratio, 0.0);
         assert_eq!(r.throughput, 0.0);
+    }
+
+    #[test]
+    fn tree_nodes_counts_the_canonical_tree() {
+        assert_eq!(tree_nodes(8, 2, 4), 126);
+        assert_eq!(tree_nodes(12, 3, 4), 18_378);
+        assert_eq!(tree_nodes(12, 12, 12), 5_034_585);
+        assert_eq!(tree_nodes(16, 16, 16), 12_086_679_036);
+        assert_eq!(tree_nodes(0, 4, 4), 0);
+        assert_eq!(tree_nodes(255, 255, 255), u64::MAX);
+        // Idle sessions tie every partition, so nothing prunes and the
+        // search walks the whole tree too.
+        for &(n, groups, cap) in &[
+            (1usize, 1u32, 1u32),
+            (3, 3, 1),
+            (4, 2, 2),
+            (5, 2, 3),
+            (6, 3, 2),
+            (6, 6, 6),
+            (7, 1, 7),
+            (7, 4, 2),
+            (8, 2, 4),
+            (8, 3, 3),
+        ] {
+            let models = pool(n);
+            let m = refs(&models);
+            let lam = default_intensities(&models);
+            let brute = place_exhaustive(&m, &lam, groups, cap, 512 * 64);
+            assert_eq!(brute.nodes_explored, tree_nodes(n, groups, cap), "{n}/{groups}/{cap}");
+            let idle = place(&m, &vec![0.0; n], groups, cap, 1 << 30, 1);
+            assert_eq!(idle.nodes_explored, tree_nodes(n, groups, cap), "{n}/{groups}/{cap}");
+        }
     }
 }
