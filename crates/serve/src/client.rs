@@ -107,7 +107,7 @@ impl Client {
 
     /// Fold the io-error kinds that mean "the peer hung up" into the
     /// typed [`ClientError::Disconnected`]; everything else stays io.
-    fn map_closed(e: std::io::Error) -> ClientError {
+    pub(crate) fn map_closed(e: std::io::Error) -> ClientError {
         match e.kind() {
             std::io::ErrorKind::UnexpectedEof
             | std::io::ErrorKind::ConnectionReset

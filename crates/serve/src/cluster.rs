@@ -1,6 +1,6 @@
 //! Cluster-tier state for `repf-serve`: the node's view of the
 //! consistent-hash [`Ring`], its own advertised identity, and a pool of
-//! reusable peer connections for node-to-node calls.
+//! reusable peer connections carrying pipelined `PeerStream`s.
 //!
 //! The cluster design in one paragraph: the seeded ring
 //! ([`crate::ring`]) is the single source of truth for session → node
@@ -23,19 +23,41 @@
 //! keys, so by the time any node starts claiming ownership of a session
 //! its state has already been imported. Joiners are told last.
 //!
-//! Known accepted imperfections, by design and documented here rather
+//! Peer traffic is pipelined per run: a worker executing one
+//! connection's run of requests sends each peer a single
+//! `PeerStream` — every forward and model pull for that peer, in run
+//! order, in one write on one pooled connection — and reads the replies
+//! back in order as execution reaches them. A single call is a stream
+//! of one frame.
+//!
+//! Timeouts and retries: peer connections carry a hard read/write
+//! timeout, so a wedged peer costs its stream an `Internal` error rather
+//! than a stuck worker, and mutual-forwarding storms degrade into those
+//! errors instead of deadlocking worker pools. A stream is written again
+//! only when its *pooled* connection fails with EOF or a reset before
+//! any reply byte arrived: the peer closed the idle connection and saw
+//! none of it. It is then written once more, on a fresh connection. A
+//! timeout, a fresh connection failing, or a failure after replies
+//! started answers every request of the stream still waiting with
+//! `Internal` and sends nothing again, because the peer may already
+//! have applied those frames — a forwarded submit is never applied
+//! twice.
+//!
+//! Known accepted imperfection, by design and documented here rather
 //! than hidden: a submit that lands between a migration's final
 //! snapshot and its version-checked removal forces a re-export (bounded
 //! retries; on exhaustion the session simply stays put and keeps being
-//! served locally — no client-visible error), and peer calls carry a
-//! hard timeout so mutual-forwarding storms degrade into `Internal`
-//! errors instead of deadlocking worker pools.
+//! served locally — no client-visible error).
 
 use crate::client::{Client, ClientError};
-use crate::proto::{Request, Response};
+use crate::metrics::Metrics;
+use crate::proto::{ProtoError, Request, Response, MAX_FRAME_BYTES};
 use crate::ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use crate::session::ShardedSessionStore;
 use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -48,7 +70,8 @@ pub const MAX_FORWARD_HOPS: u8 = 4;
 pub const MIGRATE_REDO_MAX: u32 = 8;
 
 /// Read/write timeout on peer connections: a wedged peer turns into an
-/// `Internal` error for the one forwarded request, never a stuck worker.
+/// `Internal` error for the requests of its stream, never a stuck
+/// worker.
 const PEER_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Idle peer connections kept pooled per destination.
@@ -82,8 +105,9 @@ pub struct ClusterState {
     /// other party uses for it. Set once, right after bind.
     self_addr: OnceLock<String>,
     rings: Mutex<RingState>,
-    /// Idle pooled connections per peer address.
-    pool: Mutex<HashMap<String, Vec<Client>>>,
+    /// Idle pooled connections per peer address, each with nothing
+    /// left to read.
+    pool: Mutex<HashMap<String, Vec<PeerConn>>>,
 }
 
 impl Default for ClusterState {
@@ -207,43 +231,300 @@ impl ClusterState {
         Some(prev_owner.to_string())
     }
 
-    /// Call `dest` over a pooled connection, reconnecting once on a
-    /// transport failure (the pooled socket may have been idled out).
-    pub fn call(&self, dest: &str, req: &Request) -> Result<Response, ClientError> {
-        let pooled = self.pool.lock().unwrap().get_mut(dest).and_then(Vec::pop);
-        let had_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Self::connect(dest)?,
-        };
-        match client.call_any(req) {
-            Ok(resp) => {
-                self.park(dest, client);
-                Ok(resp)
-            }
-            Err(e) if had_pooled => {
-                // The pooled socket was stale; one fresh attempt.
-                drop(e);
-                let mut fresh = Self::connect(dest)?;
-                let resp = fresh.call_any(req)?;
-                self.park(dest, fresh);
-                Ok(resp)
-            }
-            Err(e) => Err(e),
+    /// Call `dest` with one request: a `PeerStream` of one frame,
+    /// counted in `metrics`. The error is the message an `Internal`
+    /// reply carries.
+    pub fn call(&self, dest: &str, req: &Request, metrics: &Metrics) -> Result<Response, String> {
+        let mut stream = self.stream(dest);
+        stream.push(req);
+        stream.send(metrics);
+        stream.reply(0)
+    }
+
+    /// An empty stream to `dest`; frames queue with
+    /// [`PeerStream::push`] and leave together on [`PeerStream::send`].
+    pub(crate) fn stream(&self, dest: &str) -> PeerStream<'_> {
+        PeerStream {
+            cluster: self,
+            dest: dest.to_string(),
+            frames: Vec::new(),
+            queued: 0,
+            conn: None,
+            pooled: false,
+            received: false,
+            read: 0,
+            stashed: Vec::new(),
+            failed: None,
         }
     }
 
-    fn connect(dest: &str) -> Result<Client, ClientError> {
-        let mut c = Client::connect(dest)?;
-        c.set_timeout(Some(PEER_TIMEOUT))?;
-        Ok(c)
+    fn pooled(&self, dest: &str) -> Option<PeerConn> {
+        let mut pool = self.pool.lock().expect("peer pool lock poisoned");
+        pool.get_mut(dest).and_then(Vec::pop)
     }
 
-    fn park(&self, dest: &str, client: Client) {
-        let mut pool = self.pool.lock().unwrap();
+    fn park(&self, dest: &str, conn: PeerConn) {
+        let mut pool = self.pool.lock().expect("peer pool lock poisoned");
         let idle = pool.entry(dest.to_string()).or_default();
         if idle.len() < MAX_IDLE_PEER_CONNS {
-            idle.push(client);
+            idle.push(conn);
+        }
+    }
+}
+
+/// A peer connection with its reply buffer. Bytes read past the reply
+/// being taken stay buffered for the next one.
+struct PeerConn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    /// Start of the unread bytes in `buf`.
+    head: usize,
+}
+
+/// Smallest read issued while waiting for a reply, so short replies
+/// that arrived together are taken in one `read`.
+const READ_CHUNK: usize = 4096;
+
+/// Reply buffers larger than this (a pulled model's) are freed rather
+/// than kept with a pooled connection.
+const MAX_IDLE_BUF_BYTES: usize = 64 << 10;
+
+impl PeerConn {
+    fn connect(dest: &str) -> std::io::Result<PeerConn> {
+        let stream = TcpStream::connect(dest)?;
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(PEER_TIMEOUT))?;
+        stream.set_write_timeout(Some(PEER_TIMEOUT))?;
+        Ok(PeerConn {
+            stream,
+            buf: Vec::new(),
+            head: 0,
+        })
+    }
+
+    /// Read until `want` unread bytes are buffered. `got_any` is set as
+    /// soon as one byte arrives.
+    fn fill(&mut self, want: usize, got_any: &mut bool) -> std::io::Result<()> {
+        while self.buf.len() - self.head < want {
+            let len = self.buf.len();
+            let missing = want - (len - self.head);
+            self.buf.resize(len + missing.max(READ_CHUNK), 0);
+            let n = match self.stream.read(&mut self.buf[len..]) {
+                Ok(n) => n,
+                Err(e) => {
+                    self.buf.truncate(len);
+                    if e.kind() == ErrorKind::Interrupted {
+                        continue;
+                    }
+                    return Err(e);
+                }
+            };
+            self.buf.truncate(len + n);
+            if n == 0 {
+                return Err(ErrorKind::UnexpectedEof.into());
+            }
+            *got_any = true;
+        }
+        Ok(())
+    }
+
+    /// The next reply frame's body (version + type + payload), read in
+    /// full; the caller consumes it with [`consume`](Self::consume).
+    fn next_frame(&mut self, got_any: &mut bool) -> Result<std::ops::Range<usize>, ClientError> {
+        self.fill(4, got_any)?;
+        let prefix = self.buf[self.head..self.head + 4].try_into();
+        let len = u32::from_le_bytes(prefix.expect("four bytes were filled"));
+        if len < 2 {
+            return Err(ClientError::Proto(ProtoError::TooShort));
+        }
+        if len > MAX_FRAME_BYTES {
+            return Err(ClientError::Proto(ProtoError::Oversized(len)));
+        }
+        self.fill(4 + len as usize, got_any)?;
+        let body = self.head + 4..self.head + 4 + len as usize;
+        Ok(body)
+    }
+
+    /// Drop the frame [`next_frame`](Self::next_frame) returned.
+    fn consume(&mut self, body: std::ops::Range<usize>) {
+        self.head = body.end;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head >= READ_CHUNK && self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
+/// One run's requests to one peer, pipelined: every frame queued with
+/// [`push`](Self::push) leaves in one write on one pooled connection
+/// ([`send`](Self::send)), and the replies are read back in order as
+/// [`reply`](Self::reply) asks for them. A daemon answers each
+/// connection in order, so reply `k` belongs to frame `k`; no request
+/// IDs are needed.
+///
+/// Failure rule: when a *pooled* connection fails with EOF or a reset
+/// before any reply byte arrived, the peer had closed it while it sat
+/// idle, so the whole stream is written once more on a fresh
+/// connection. Any other failure — a timeout, a fresh connection
+/// failing, or a failure after replies started — answers every reply
+/// not yet read with an error and never resends: the peer may already
+/// have applied those frames.
+///
+/// Dropping the stream reads and discards the replies nobody asked for,
+/// then pools the connection again.
+pub(crate) struct PeerStream<'a> {
+    cluster: &'a ClusterState,
+    dest: String,
+    /// The queued frames, back to back; kept until the first reply byte
+    /// arrives, for the one resend the failure rule allows.
+    frames: Vec<u8>,
+    queued: usize,
+    conn: Option<PeerConn>,
+    /// `conn` came from the pool (a resend is allowed).
+    pooled: bool,
+    /// A reply byte arrived (no resend any more).
+    received: bool,
+    /// Replies read off the connection so far.
+    read: usize,
+    /// Replies read past the one asked for, by index, kept undecoded
+    /// until asked for: frames are taken in order, except that a model
+    /// pull may be taken after a later frame's reply.
+    stashed: Vec<(usize, Vec<u8>)>,
+    /// Why the stream broke; every reply not yet read answers with it.
+    failed: Option<String>,
+}
+
+impl PeerStream<'_> {
+    /// The peer this stream talks to.
+    pub(crate) fn dest(&self) -> &str {
+        &self.dest
+    }
+
+    /// Queue `req`; returns its index among the stream's replies.
+    pub(crate) fn push(&mut self, req: &Request) -> usize {
+        self.frames.extend_from_slice(&req.encode());
+        self.queued += 1;
+        self.queued - 1
+    }
+
+    /// Write every queued frame in one write: on a pooled connection
+    /// when one is idle, else on a fresh one. Counted in `metrics` as
+    /// one peer batch.
+    pub(crate) fn send(&mut self, metrics: &Metrics) {
+        if self.queued == 0 {
+            return;
+        }
+        metrics.cluster_peer_batches.fetch_add(1, Ordering::Relaxed);
+        metrics
+            .cluster_peer_batch_frames
+            .fetch_add(self.queued as u64, Ordering::Relaxed);
+        match self.cluster.pooled(&self.dest) {
+            Some(conn) => {
+                self.pooled = true;
+                if let Err(e) = self.write_on(conn) {
+                    self.retry_or_fail(e);
+                }
+            }
+            None => self.send_fresh(),
+        }
+    }
+
+    fn send_fresh(&mut self) {
+        self.pooled = false;
+        if let Err(e) = PeerConn::connect(&self.dest).and_then(|conn| self.write_on(conn)) {
+            self.fail(e.into());
+        }
+    }
+
+    fn write_on(&mut self, mut conn: PeerConn) -> std::io::Result<()> {
+        conn.stream.write_all(&self.frames)?;
+        self.conn = Some(conn);
+        Ok(())
+    }
+
+    /// Apply the failure rule to a transport error.
+    fn retry_or_fail(&mut self, e: std::io::Error) {
+        self.conn = None;
+        match Client::map_closed(e) {
+            ClientError::Disconnected if self.pooled && !self.received => self.send_fresh(),
+            e => self.fail(e),
+        }
+    }
+
+    fn fail(&mut self, e: ClientError) {
+        self.conn = None;
+        self.frames = Vec::new();
+        self.failed = Some(format!("peer {} unreachable: {e}", self.dest));
+    }
+
+    /// Read the next reply off the connection and hand its body to `f`.
+    fn next_body<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Result<R, String> {
+        loop {
+            let Some(conn) = self.conn.as_mut() else {
+                return Err(self.failed.clone().unwrap_or_default());
+            };
+            match conn.next_frame(&mut self.received) {
+                Ok(body) => {
+                    self.frames = Vec::new();
+                    let out = f(&conn.buf[body.clone()]);
+                    conn.consume(body);
+                    self.read += 1;
+                    return Ok(out);
+                }
+                Err(ClientError::Io(e)) => self.retry_or_fail(e),
+                Err(e) => self.fail(e),
+            }
+        }
+    }
+
+    /// The reply to frame `k`, decoded; each reply is taken once.
+    /// Replies before `k` that were never asked for are read and stashed
+    /// on the way.
+    pub(crate) fn reply(&mut self, k: usize) -> Result<Response, String> {
+        self.reply_sized(k).map(|(resp, _)| resp)
+    }
+
+    /// [`reply`](Self::reply), with the reply frame's size in bytes.
+    pub(crate) fn reply_sized(&mut self, k: usize) -> Result<(Response, usize), String> {
+        let decode = |body: &[u8]| {
+            let resp = Response::decode(body).map_err(ClientError::Proto);
+            resp.map(|r| (r, 4 + body.len()))
+        };
+        let decoded = if let Some(i) = self.stashed.iter().position(|(j, _)| *j == k) {
+            decode(&self.stashed.swap_remove(i).1)
+        } else if k < self.read {
+            return Err(format!("peer {}: reply {k} was already taken", self.dest));
+        } else {
+            while self.read < k {
+                let j = self.read;
+                let body = self.next_body(<[u8]>::to_vec)?;
+                self.stashed.push((j, body));
+            }
+            self.next_body(decode)?
+        };
+        decoded.map_err(|e| format!("peer {} unreachable: {e}", self.dest))
+    }
+}
+
+impl Drop for PeerStream<'_> {
+    /// Read and discard the replies nobody asked for, then pool the
+    /// connection; a connection that fails meanwhile is dropped.
+    fn drop(&mut self) {
+        // Nothing here is worth a resend.
+        self.pooled = false;
+        while self.read < self.queued && self.conn.is_some() {
+            let _ = self.next_body(|_| ());
+        }
+        if let Some(mut conn) = self.conn.take() {
+            if conn.head == conn.buf.len() {
+                if conn.buf.capacity() > MAX_IDLE_BUF_BYTES {
+                    conn.buf = Vec::new();
+                }
+                self.cluster.park(&self.dest, conn);
+            }
         }
     }
 }
@@ -484,6 +765,85 @@ mod tests {
         );
         assert_eq!(cs.route(&gained, true, &store), Route::Local);
         assert_eq!(cs.pull_candidate(&gained), Some(prev_owner));
+    }
+
+    /// Read one request frame off a fake peer's connection.
+    fn next_frame(conn: &mut TcpStream) -> Vec<u8> {
+        crate::proto::read_frame(conn)
+            .expect("read")
+            .expect("a frame")
+    }
+
+    fn entry(version: u64) -> Response {
+        Response::ModelEntry {
+            version,
+            model: None,
+        }
+    }
+
+    #[test]
+    fn a_stream_takes_replies_out_of_order_and_drains_the_rest() {
+        let peer = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dest = peer.local_addr().expect("addr").to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut conn, _) = peer.accept().expect("accept");
+            let mut replies = Vec::new();
+            for version in 0..3 {
+                next_frame(&mut conn);
+                replies.extend_from_slice(&entry(version).encode());
+            }
+            conn.write_all(&replies).expect("answer");
+            conn
+        });
+        let cs = ClusterState::new();
+        let metrics = Metrics::new();
+        let mut stream = cs.stream(&dest);
+        for _ in 0..3 {
+            stream.push(&Request::Ping);
+        }
+        stream.send(&metrics);
+        assert_eq!(stream.reply(1), Ok(entry(1)));
+        assert_eq!(stream.reply(0), Ok(entry(0)), "reply 0 was kept");
+        drop(stream);
+        let pool = cs.pool.lock().expect("pool");
+        assert_eq!(
+            pool[&dest].len(),
+            1,
+            "reply 2 was drained and the connection pooled"
+        );
+        assert_eq!(metrics.cluster_peer_batches.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.cluster_peer_batch_frames.load(Ordering::Relaxed), 3);
+        drop(fake.join().expect("fake peer"));
+    }
+
+    #[test]
+    fn a_pooled_connection_closed_while_idle_is_written_once_more() {
+        let peer = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dest = peer.local_addr().expect("addr").to_string();
+        let (closed, wait_closed) = std::sync::mpsc::channel();
+        let fake = std::thread::spawn(move || {
+            let (mut first, _) = peer.accept().expect("accept");
+            next_frame(&mut first);
+            first.write_all(&Response::Pong.encode()).expect("answer");
+            drop(first);
+            closed.send(()).expect("signal");
+            let (mut second, _) = peer.accept().expect("accept again");
+            let frame = next_frame(&mut second);
+            second.write_all(&Response::Pong.encode()).expect("answer");
+            (frame, second)
+        });
+        let cs = ClusterState::new();
+        let metrics = Metrics::new();
+        assert_eq!(cs.call(&dest, &Request::Ping, &metrics), Ok(Response::Pong));
+        wait_closed.recv().expect("peer closed its end");
+        assert_eq!(
+            cs.call(&dest, &Request::Ping, &metrics),
+            Ok(Response::Pong),
+            "the stream went out again on a fresh connection"
+        );
+        let (frame, _second) = fake.join().expect("fake peer");
+        assert_eq!(frame, Request::Ping.encode()[4..]);
+        assert_eq!(metrics.cluster_peer_batches.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -245,6 +245,14 @@ pub struct Metrics {
     pub cluster_forwarded: AtomicU64,
     /// Forwarded requests this node received and handled for a peer.
     pub cluster_peer_requests: AtomicU64,
+    /// Peer streams this node wrote: one per peer a run called, and one
+    /// per single peer call.
+    pub cluster_peer_batches: AtomicU64,
+    /// Request frames those streams carried.
+    pub cluster_peer_batch_frames: AtomicU64,
+    /// Bytes of `ModelEntry` replies that carried a model to this node's
+    /// co-run and placement pulls.
+    pub cluster_pull_bytes: AtomicU64,
     /// Ring adoptions that had at least one session to migrate away.
     pub cluster_migrations_started: AtomicU64,
     /// Migration sweeps that moved every departing session successfully.
@@ -361,6 +369,12 @@ impl Metrics {
             "cluster.migrations.completed".into(),
             g(&self.cluster_migrations_completed),
         ));
+        out.push(("cluster.peer_batches".into(), g(&self.cluster_peer_batches)));
+        out.push((
+            "cluster.peer_batch_frames".into(),
+            g(&self.cluster_peer_batch_frames),
+        ));
+        out.push(("cluster.pull_bytes".into(), g(&self.cluster_pull_bytes)));
         out.push((
             "cluster.migrations.sessions".into(),
             g(&self.cluster_migrated_sessions),

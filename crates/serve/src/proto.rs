@@ -262,30 +262,46 @@ pub struct ModelWire {
 }
 
 impl ModelWire {
-    /// Wire form of disassembled model parts.
+    /// Wire form of borrowed model parts (copies every distance vector;
+    /// the peer paths move parts in with [`From<ModelParts>`] instead).
     pub fn from_parts(parts: &ModelParts) -> Self {
-        ModelWire {
-            line_bytes: parts.line_bytes,
-            dangling: parts.dangling,
-            sorted: parts.sorted.clone(),
-            per_pc: parts
-                .per_pc
-                .iter()
-                .map(|(pc, distances, dangling)| (pc.0, *dangling, distances.clone()))
-                .collect(),
-        }
+        parts.clone().into()
     }
 
-    /// Rebuild the model parts this wire form describes.
+    /// The model parts this wire form describes, copied (the peer paths
+    /// move them out with [`into_parts`](Self::into_parts) instead).
     pub fn to_parts(&self) -> ModelParts {
+        self.clone().into_parts()
+    }
+
+    /// Rebuild the model parts this wire form describes, moving every
+    /// distance vector out rather than copying it.
+    pub fn into_parts(self) -> ModelParts {
         ModelParts {
             line_bytes: self.line_bytes,
-            sorted: self.sorted.clone(),
+            sorted: self.sorted,
             dangling: self.dangling,
             per_pc: self
                 .per_pc
-                .iter()
-                .map(|(pc, dangling, distances)| (Pc(*pc), distances.clone(), *dangling))
+                .into_iter()
+                .map(|(pc, dangling, distances)| (Pc(pc), distances, dangling))
+                .collect(),
+        }
+    }
+}
+
+impl From<ModelParts> for ModelWire {
+    /// Wire form of disassembled model parts, moving every distance
+    /// vector in rather than copying it.
+    fn from(parts: ModelParts) -> Self {
+        ModelWire {
+            line_bytes: parts.line_bytes,
+            dangling: parts.dangling,
+            sorted: parts.sorted,
+            per_pc: parts
+                .per_pc
+                .into_iter()
+                .map(|(pc, distances, dangling)| (pc.0, dangling, distances))
                 .collect(),
         }
     }

@@ -10,17 +10,19 @@
 //!   buffered partial writes and idle/slow-loris deadlines on a sorted
 //!   deadline heap. Compute still runs on the bounded worker pool: an
 //!   idle connection's queued frames leave as one *run* (up to 32
-//!   requests, handled in arrival order inside one worker job), and the
-//!   run's replies come back together over an eventfd-woken queue and
-//!   leave in one `writev`. 10k mostly-idle
-//!   connections cost one thread and zero timer churn.
+//!   requests, handled in arrival order inside one worker job, with the
+//!   run's peer traffic sent as one stream per peer — see
+//!   `ServeState::handle_run`), and the run's replies come back
+//!   together over an eventfd-woken queue and leave in one `writev`.
+//!   10k mostly-idle connections cost one thread and zero timer churn.
 //! * [`IoMode::Threads`] — the original thread-per-connection path:
 //!   each accepted socket gets an OS thread doing blocking reads with a
 //!   100 ms poll. Kept as the bit-identity reference (`--io-mode
 //!   threads`) and the non-Linux fallback.
 //!
-//! Both modes share [`ServeState::handle`], so every response is
-//! byte-identical between them — asserted by the replay digest tests.
+//! Both modes share `ServeState::handle_run` (threads mode sends runs
+//! of one), so every response is byte-identical between them — asserted
+//! by the replay digest tests.
 //!
 //! Degradation-first design, in order of what can go wrong:
 //!
@@ -43,7 +45,7 @@
 //!   acceptor, lets every connection finish its in-flight request (or
 //!   run), drains the worker queue, and joins all threads.
 
-use crate::cluster::{ClusterState, Route, MAX_FORWARD_HOPS, MIGRATE_REDO_MAX};
+use crate::cluster::{ClusterState, PeerStream, Route, MAX_FORWARD_HOPS, MIGRATE_REDO_MAX};
 use crate::metrics::Metrics;
 use crate::proto::{self, ErrorCode, MachineId, ModelWire, Request, Response, SampleBatch, Target};
 use crate::ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
@@ -258,6 +260,10 @@ pub fn resolve_max_conns(configured: usize) -> usize {
         .unwrap_or(4096)
 }
 
+/// A model pulled from a peer: the owner it came from, the version that
+/// owner reported, and the model.
+type PulledModel = (String, u64, Arc<StatStackModel>);
+
 /// Shared server state: sessions, per-machine plan caches, metrics.
 pub(crate) struct ServeState {
     sessions: ShardedSessionStore,
@@ -271,10 +277,11 @@ pub(crate) struct ServeState {
     /// Cluster-tier state: ring epochs, self identity, peer pool.
     pub(crate) cluster: ClusterState,
     /// Current models of peer-owned sessions pulled for co-run queries,
-    /// keyed by session name with the owner-reported version. Bounded:
+    /// keyed by session name with the owner they came from and the
+    /// version that owner reported (versions are per node). Bounded:
     /// at the cap the whole map is cleared (deterministic, and cache
     /// contents only affect pull traffic, never response bytes).
-    remote_models: Mutex<FxHashMap<String, (u64, Arc<StatStackModel>)>>,
+    remote_models: Mutex<FxHashMap<String, PulledModel>>,
     remote_model_cache_cap: usize,
     shutting_down: AtomicBool,
     /// Wakes the I/O loop (epoll) or acceptor (threads) out of its
@@ -329,13 +336,148 @@ impl ServeState {
         }
     }
 
-    /// Execute one request against the shared state — called on a
-    /// worker thread. Peer-protocol requests dispatch to their cluster
-    /// handlers; session-addressed client requests consult the ring and
-    /// are forwarded to their owner when that is another node; all else
-    /// (and everything on an un-clustered node) runs locally.
-    pub(crate) fn handle(&self, mut req: Request) -> Response {
-        self.metrics.count_request(req.kind_index());
+    /// Execute one request: a run of one.
+    pub(crate) fn handle(&self, req: Request) -> Response {
+        let mut out = self.handle_run(vec![req]);
+        out.pop().expect("one reply per request")
+    }
+
+    /// Execute one connection's run of requests, in order, on a worker
+    /// thread; one reply per request, in request order. The answer
+    /// equals executing the requests one at a time, but each peer is
+    /// called once per run instead of once per request:
+    ///
+    /// 1. [`plan`](Self::plan) walks the run in order, routing each
+    ///    session-addressed request once. A forward joins its owner's
+    ///    [`PeerStream`] as a `PeerForward`; each `CoRun`/`Place` member
+    ///    that is not live here and has a peer owner adds a
+    ///    `ModelPullCurrent` to that owner's stream.
+    /// 2. Every stream leaves in one write on one pooled connection.
+    /// 3. The run executes in order. Forwarded replies and pulled models
+    ///    are read off the streams as execution reaches them.
+    ///
+    /// Every frame for one session goes to one owner, in run order, on
+    /// one connection, and a daemon answers each connection in order, so
+    /// a pull sees exactly the submits planned before it. Requests that
+    /// can move a session onto or off this node (`RingSet`,
+    /// `SessionImport`, `PeerForward`) end a segment: the requests after
+    /// them are planned once they have run.
+    pub(crate) fn handle_run(&self, mut reqs: Vec<Request>) -> Vec<Response> {
+        let mut out = Vec::with_capacity(reqs.len());
+        let mut start = 0;
+        while start < reqs.len() {
+            let end = reqs[start..]
+                .iter()
+                .position(Self::moves_sessions)
+                .map_or(reqs.len(), |k| start + k + 1);
+            self.run_segment(&mut reqs[start..end], &mut out);
+            start = end;
+        }
+        out
+    }
+
+    fn moves_sessions(req: &Request) -> bool {
+        matches!(
+            req,
+            Request::RingSet { .. } | Request::SessionImport { .. } | Request::PeerForward { .. }
+        )
+    }
+
+    /// Plan, send and execute one segment of a run.
+    fn run_segment(&self, reqs: &mut [Request], out: &mut Vec<Response>) {
+        let mut plan = self.plan(reqs);
+        for stream in &mut plan.streams {
+            stream.send(&self.metrics);
+        }
+        for (i, req) in reqs.iter_mut().enumerate() {
+            self.metrics.count_request(req.kind_index());
+            plan.at = i;
+            let resp = match plan.forwards.get(i).copied().flatten() {
+                Some((stream, seq)) => plan.streams[stream]
+                    .reply(seq)
+                    .unwrap_or_else(Self::internal),
+                None => self.execute(req, &mut plan),
+            };
+            out.push(resp);
+        }
+        // Dropping the plan drains the replies nobody took and pools
+        // the connections again.
+    }
+
+    /// The planning pass of [`handle_run`](Self::handle_run). An
+    /// un-clustered node, or a segment with nothing to route, plans
+    /// nothing.
+    fn plan(&self, reqs: &[Request]) -> RunPlan<'_> {
+        let mut plan = RunPlan::default();
+        let routed = |r: &Request| {
+            Self::session_target(r).is_some()
+                || matches!(r, Request::CoRun { .. } | Request::Place { .. })
+        };
+        if !reqs.iter().any(routed) || !self.cluster.is_clustered() {
+            return plan;
+        }
+        let me = self.cluster.self_addr();
+        // Sessions a locally planned submit creates: live here once it
+        // runs, so later requests for them stay local too.
+        let mut born: Vec<&str> = Vec::new();
+        for (i, req) in reqs.iter().enumerate() {
+            plan.forwards.push(None);
+            if let Some((session, is_submit)) = Self::session_target(req) {
+                let route = if born.contains(&session) {
+                    Route::Local
+                } else {
+                    self.cluster.route(session, is_submit, &self.sessions)
+                };
+                match route {
+                    Route::Forward(dest) => {
+                        let stream = plan.stream_to(&self.cluster, &dest);
+                        let seq = plan.streams[stream].push(&Request::PeerForward {
+                            hops: MAX_FORWARD_HOPS,
+                            frame: req.encode()[4..].to_vec(),
+                        });
+                        plan.forwards[i] = Some((stream, seq));
+                        self.metrics
+                            .cluster_forwarded
+                            .fetch_add(1, Ordering::Relaxed);
+                        if is_submit {
+                            // A later pull must see this submit.
+                            for p in plan.pulls.iter_mut().filter(|p| p.session == session) {
+                                p.open = false;
+                            }
+                        }
+                    }
+                    Route::Local => {
+                        if is_submit && !self.sessions.contains(session) {
+                            born.push(session);
+                        }
+                    }
+                }
+            } else if let Some(names) = Self::members(req) {
+                for name in names {
+                    if born.contains(&name.as_str()) || self.sessions.contains(name) {
+                        continue;
+                    }
+                    let Some(owner) = self.cluster.owner_of(name).filter(|o| o != me) else {
+                        continue;
+                    };
+                    // A second pull of the session reuses the first one's
+                    // reply while no forwarded submit lies between them.
+                    let p = match plan.pulls.iter().position(|p| p.open && p.session == *name) {
+                        Some(p) => p,
+                        None => self.plan_pull(&mut plan, &owner, name),
+                    };
+                    plan.member_pulls.push((i, p));
+                    plan.pulls[p].uses += 1;
+                }
+            }
+        }
+        plan
+    }
+
+    /// Execute one request here (its route, if any, was local).
+    /// Peer-protocol requests dispatch to their cluster handlers;
+    /// everything else runs through [`handle_local`](Self::handle_local).
+    fn execute(&self, req: &mut Request, plan: &mut RunPlan) -> Response {
         match req {
             Request::RingGet => return self.handle_ring_get(),
             Request::RingSet {
@@ -343,52 +485,59 @@ impl ServeState {
                 seed,
                 vnodes,
                 nodes,
-            } => return self.handle_ring_set(epoch, seed, vnodes, &nodes),
-            Request::PeerForward { hops, frame } => return self.handle_peer_forward(hops, &frame),
+            } => return self.handle_ring_set(*epoch, *seed, *vnodes, nodes),
+            Request::PeerForward { hops, frame } => return self.handle_peer_forward(*hops, frame),
             Request::SessionImport {
                 session,
                 version,
                 batch,
                 model,
-            } => return self.handle_session_import(&session, version, batch, model),
+            } => {
+                return self.handle_session_import(
+                    session,
+                    *version,
+                    std::mem::take(batch),
+                    model.take(),
+                )
+            }
             Request::ModelPull { session, version } => {
-                return self.handle_model_pull(&session, version)
+                return self.handle_model_pull(session, *version)
             }
             Request::ModelPullCurrent {
                 session,
                 cached_version,
-            } => return self.handle_model_pull_current(&session, cached_version),
+            } => return self.handle_model_pull_current(session, *cached_version),
             _ => {}
         }
-        if let Some((session, is_submit)) = Self::session_target(&req) {
-            match self.cluster.route(session, is_submit, &self.sessions) {
-                Route::Forward(dest) => return self.forward(&dest, &req),
-                Route::Local => {
-                    let resp = self.handle_local(&mut req);
-                    // Routing said local but the session migrated away
-                    // between the check and the handler (a ring change
-                    // raced us): chase the tombstone it left behind
-                    // instead of answering "unknown session". A submit
-                    // creates its session, so it never gets here with
-                    // its batch already taken.
-                    if Self::is_unknown_session(&resp) {
-                        let session = Self::session_target(&req).map(|(s, _)| s);
-                        if let Some(dest) = session.and_then(|s| self.sessions.tombstone_of(s)) {
-                            return self.forward(&dest, &req);
-                        }
-                    }
-                    return resp;
+        let resp = self.handle_local(req, plan);
+        // Routing said local but the session migrated away between the
+        // check and the handler (a ring change raced us): chase the
+        // tombstone it left behind instead of answering "unknown
+        // session". A submit creates its session, so it never gets
+        // here with its batch already taken.
+        if Self::is_unknown_session(&resp) {
+            if let Some((session, _)) = Self::session_target(req) {
+                if let Some(dest) = self.sessions.tombstone_of(session) {
+                    return self.forward(&dest, req);
                 }
             }
         }
-        self.handle_local(&mut req)
+        resp
+    }
+
+    fn internal(message: String) -> Response {
+        Response::Error {
+            code: ErrorCode::Internal,
+            message,
+        }
     }
 
     /// Execute one request on this node, no routing. Forwarded peer
     /// frames land here too, so this must never re-forward — that is
     /// what makes forwarding loop-free. A submit moves its batch out of
-    /// `req` into the store, leaving an empty batch behind.
-    fn handle_local(&self, req: &mut Request) -> Response {
+    /// `req` into the store, leaving an empty batch behind. `CoRun` and
+    /// `Place` take their peer-owned members' models from `plan`.
+    fn handle_local(&self, req: &mut Request, plan: &mut RunPlan) -> Response {
         match req {
             Request::Ping => Response::Pong,
             Request::Submit { session, batch } => {
@@ -421,7 +570,7 @@ impl ServeState {
                 intensities,
             } => {
                 let start = Instant::now();
-                let resp = self.handle_co_run(sessions, sizes_bytes, intensities);
+                let resp = self.handle_co_run(sessions, sizes_bytes, intensities, plan);
                 self.metrics
                     .corun_latency
                     .record_us(start.elapsed().as_micros() as u64);
@@ -436,7 +585,7 @@ impl ServeState {
             } => {
                 let start = Instant::now();
                 let resp =
-                    self.handle_place(sessions, *groups, *capacity, *size_bytes, intensities);
+                    self.handle_place(sessions, *groups, *capacity, *size_bytes, intensities, plan);
                 self.metrics
                     .placement_latency
                     .record_us(start.elapsed().as_micros() as u64);
@@ -460,8 +609,8 @@ impl ServeState {
                 self.request_shutdown();
                 Response::ShuttingDown
             }
-            // Peer-protocol requests are dispatched in `handle` before
-            // routing; one arriving here was nested inside a forward.
+            // Peer-protocol requests are dispatched in `execute`; one
+            // arriving here was nested inside a forward.
             Request::RingGet
             | Request::RingSet { .. }
             | Request::PeerForward { .. }
@@ -615,17 +764,14 @@ impl ServeState {
             let Some(export) = self.sessions.export(name) else {
                 return true; // evicted or already migrated: nothing to move
             };
-            let model = export
-                .model
-                .as_ref()
-                .map(|m| ModelWire::from_parts(&m.to_parts()));
+            let model = export.model.map(|m| ModelWire::from(m.to_parts()));
             let req = Request::SessionImport {
                 session: name.to_string(),
                 version: export.version,
                 batch: export.batch,
                 model,
             };
-            match self.cluster.call(dest, &req) {
+            match self.cluster.call(dest, &req, &self.metrics) {
                 Ok(Response::Imported) => {
                     if self.sessions.remove_migrated(name, export.version, dest) {
                         let bytes = self.sessions.bytes();
@@ -674,7 +820,7 @@ impl ServeState {
                 }
             }
         }
-        let resp = self.handle_local(&mut inner);
+        let resp = self.handle_local(&mut inner, &mut RunPlan::default());
         if hops > 0 && Self::is_unknown_session(&resp) {
             if let Some((session, _)) = Self::session_target(&inner) {
                 if let Some(dest) = self.sessions.tombstone_of(session) {
@@ -695,7 +841,7 @@ impl ServeState {
         batch: SampleBatch,
         model: Option<ModelWire>,
     ) -> Response {
-        let model = model.map(|w| Arc::new(StatStackModel::from_parts(w.to_parts())));
+        let model = model.map(|w| Arc::new(StatStackModel::from_parts(w.into_parts())));
         let had_model = model.is_some();
         match self.sessions.import(session, version, batch, model) {
             Ok(o) => {
@@ -728,7 +874,7 @@ impl ServeState {
             model: self
                 .sessions
                 .cached_model_at(session, version)
-                .map(|m| ModelWire::from_parts(&m.to_parts())),
+                .map(|m| ModelWire::from(m.to_parts())),
         }
     }
 
@@ -758,7 +904,7 @@ impl ServeState {
                 // above, and pairing the model with a too-old version
                 // would only cost the caller a redundant re-pull later.
                 version: self.sessions.version_of(session).unwrap_or(version),
-                model: Some(ModelWire::from_parts(&model.to_parts())),
+                model: Some(ModelWire::from(model.to_parts())),
             },
             None => Response::Error {
                 code: ErrorCode::UnknownSession,
@@ -800,8 +946,10 @@ impl ServeState {
             session: name.to_string(),
             version,
         };
-        if let Ok(Response::ModelEntry { model: Some(w), .. }) = self.cluster.call(&peer, &req) {
-            let model = Arc::new(StatStackModel::from_parts(w.to_parts()));
+        if let Ok(Response::ModelEntry { model: Some(w), .. }) =
+            self.cluster.call(&peer, &req, &self.metrics)
+        {
+            let model = Arc::new(StatStackModel::from_parts(w.into_parts()));
             if self.sessions.install_model(name, version, model) {
                 self.metrics
                     .cluster_model_remote_hits
@@ -822,13 +970,9 @@ impl ServeState {
         self.metrics
             .cluster_forwarded
             .fetch_add(1, Ordering::Relaxed);
-        match self.cluster.call(dest, &Request::PeerForward { hops, frame }) {
-            Ok(resp) => resp,
-            Err(e) => Response::Error {
-                code: ErrorCode::Internal,
-                message: format!("peer {dest} unreachable: {e}"),
-            },
-        }
+        self.cluster
+            .call(dest, &Request::PeerForward { hops, frame }, &self.metrics)
+            .unwrap_or_else(Self::internal)
     }
 
     /// The `Stats` payload: the metrics snapshot plus per-shard session
@@ -1079,13 +1223,41 @@ impl ServeState {
         None
     }
 
-    /// Resolve every listed session to its current model (locally or via
-    /// the owner's `ModelPullCurrent`), failing on the first
-    /// unresolvable name in request order.
-    fn resolve_models(&self, names: &[String]) -> Result<Vec<Arc<StatStackModel>>, Response> {
+    /// The members a `CoRun` or `Place` resolves, when its bounds admit
+    /// it: a refused request resolves (and plans) nothing.
+    fn members(req: &Request) -> Option<&[String]> {
+        match req {
+            Request::CoRun {
+                sessions,
+                sizes_bytes,
+                intensities,
+            } if Self::co_run_refusal(sessions, sizes_bytes, intensities).is_none() => {
+                Some(sessions)
+            }
+            Request::Place {
+                sessions,
+                groups,
+                capacity,
+                intensities,
+                ..
+            } if Self::place_refusal(sessions, *groups, *capacity, intensities).is_none() => {
+                Some(sessions)
+            }
+            _ => None,
+        }
+    }
+
+    /// Resolve every listed session to its current model (locally, from
+    /// the run's planned pulls, or by pulling it from its owner now),
+    /// failing on the first unresolvable name in request order.
+    fn resolve_models(
+        &self,
+        names: &[String],
+        plan: &mut RunPlan,
+    ) -> Result<Vec<Arc<StatStackModel>>, Response> {
         let mut models = Vec::with_capacity(names.len());
         for name in names {
-            match self.co_run_model(name) {
+            match self.member_model(name, plan)? {
                 Some(m) => models.push(m),
                 None => {
                     return Err(Response::Error {
@@ -1098,21 +1270,30 @@ impl ServeState {
         Ok(models)
     }
 
+    /// `CoRun`'s bounds, in the order the replay oracle mirrors: empty
+    /// list, over-limit list, duplicate name, intensity mismatch, then
+    /// empty or over-limit sizes.
+    fn co_run_refusal(names: &[String], sizes: &[u64], intensities: &[f64]) -> Option<Response> {
+        Self::validate_session_list(names, intensities).or_else(|| Self::validate_sizes(sizes))
+    }
+
     /// Predict the named sessions' shared-cache behaviour when co-run.
     /// Validation order is part of the replay contract (the oracle
-    /// mirrors it byte for byte): empty list, over-limit list, duplicate
-    /// name, intensity mismatch, empty or over-limit sizes, then first
-    /// unresolvable session in request order. An empty `intensities`
-    /// keeps the sample-count inference bit-exact; a full-length one
-    /// overrides it.
-    fn handle_co_run(&self, names: &[String], sizes: &[u64], intensities: &[f64]) -> Response {
-        if let Some(err) = Self::validate_session_list(names, intensities) {
+    /// mirrors it byte for byte): [`co_run_refusal`](Self::co_run_refusal),
+    /// then first unresolvable session in request order. An empty
+    /// `intensities` keeps the sample-count inference bit-exact; a
+    /// full-length one overrides it.
+    fn handle_co_run(
+        &self,
+        names: &[String],
+        sizes: &[u64],
+        intensities: &[f64],
+        plan: &mut RunPlan,
+    ) -> Response {
+        if let Some(err) = Self::co_run_refusal(names, sizes, intensities) {
             return err;
         }
-        if let Some(err) = Self::validate_sizes(sizes) {
-            return err;
-        }
-        let models = match self.resolve_models(names) {
+        let models = match self.resolve_models(names, plan) {
             Ok(m) => m,
             Err(e) => return e,
         };
@@ -1131,15 +1312,49 @@ impl ServeState {
         }
     }
 
+    /// `Place`'s bounds, in the order the replay oracle mirrors: empty
+    /// list, over-limit list, duplicate name, intensity mismatch, zero
+    /// groups/capacity, infeasible N > G·k, then a search tree over
+    /// [`proto::MAX_PLACE_TREE_NODES`].
+    fn place_refusal(
+        names: &[String],
+        groups: u32,
+        capacity: u32,
+        intensities: &[f64],
+    ) -> Option<Response> {
+        if let Some(err) = Self::validate_session_list(names, intensities) {
+            return Some(err);
+        }
+        let message = if groups == 0 || capacity == 0 {
+            "groups and capacity must be positive".to_string()
+        } else if names.len() as u64 > groups as u64 * capacity as u64 {
+            format!(
+                "{} sessions do not fit in {groups} groups of {capacity}",
+                names.len()
+            )
+        } else {
+            let tree = repf_statstack::tree_nodes(names.len(), groups, capacity);
+            if tree <= proto::MAX_PLACE_TREE_NODES {
+                return None;
+            }
+            format!(
+                "placement search tree of {tree} nodes exceeds the cap of {}",
+                proto::MAX_PLACE_TREE_NODES
+            )
+        };
+        Some(Response::Error {
+            code: ErrorCode::Unsupported,
+            message,
+        })
+    }
+
     /// Search co-run placements of the named sessions into `groups`
     /// cache-sharing groups of at most `capacity` members each,
     /// minimizing the predicted aggregate miss ratio at `size_bytes`.
-    /// Validation order (the replay oracle mirrors it): empty list,
-    /// over-limit list, duplicate name, intensity mismatch, zero
-    /// groups/capacity, infeasible N > G·k, a search tree over
-    /// [`proto::MAX_PLACE_TREE_NODES`], then first unresolvable session
-    /// in request order. Models resolve through the same
-    /// `ModelPullCurrent` path as co-run, so any ring member answers
+    /// Validation order (the replay oracle mirrors it):
+    /// [`place_refusal`](Self::place_refusal), then first unresolvable
+    /// session in request order. Models resolve through the same
+    /// `ModelPullCurrent` pulls as co-run, so any ring member answers
     /// with identical bytes. The search runs on the calling worker
     /// alone, so one request holds one worker rather than every core;
     /// the answer is the same at any thread count.
@@ -1150,36 +1365,12 @@ impl ServeState {
         capacity: u32,
         size_bytes: u64,
         intensities: &[f64],
+        plan: &mut RunPlan,
     ) -> Response {
-        if let Some(err) = Self::validate_session_list(names, intensities) {
+        if let Some(err) = Self::place_refusal(names, groups, capacity, intensities) {
             return err;
         }
-        if groups == 0 || capacity == 0 {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "groups and capacity must be positive".into(),
-            };
-        }
-        if names.len() as u64 > groups as u64 * capacity as u64 {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: format!(
-                    "{} sessions do not fit in {groups} groups of {capacity}",
-                    names.len()
-                ),
-            };
-        }
-        let tree = repf_statstack::tree_nodes(names.len(), groups, capacity);
-        if tree > proto::MAX_PLACE_TREE_NODES {
-            return Response::Error {
-                code: ErrorCode::Unsupported,
-                message: format!(
-                    "placement search tree of {tree} nodes exceeds the cap of {}",
-                    proto::MAX_PLACE_TREE_NODES
-                ),
-            };
-        }
-        let models = match self.resolve_models(names) {
+        let models = match self.resolve_models(names, plan) {
             Ok(m) => m,
             Err(e) => return e,
         };
@@ -1205,48 +1396,187 @@ impl ServeState {
     }
 
     /// Resolve one co-run member to its current model: locally when the
-    /// session lives here, else by pulling the fit from its ring owner.
-    /// Pulled models are cached under the owner-reported version, and a
-    /// repeat query sends that version so an unchanged session answers
-    /// with the version number alone — no model bytes, no refit, and
-    /// `cluster.model.remote_hits` counts only actual transfers.
-    fn co_run_model(&self, name: &str) -> Option<Arc<StatStackModel>> {
+    /// session lives here, else from its ring owner — through the pull
+    /// the run planned for it, or a pull of its own when none was
+    /// planned. `Err` is the `Internal` reply of an unreachable owner.
+    fn member_model(
+        &self,
+        name: &str,
+        plan: &mut RunPlan,
+    ) -> Result<Option<Arc<StatStackModel>>, Response> {
         if let Some(model) = self.current_model(name) {
-            return Some(model);
+            return Ok(Some(model));
         }
-        let owner = self.cluster.owner_of(name)?;
+        if let Some(p) = plan.pull_of(name) {
+            return self.take_pull(plan, p).map_err(Self::internal);
+        }
+        let Some(owner) = self.cluster.owner_of(name) else {
+            return Ok(None);
+        };
         if owner == self.cluster.self_addr() {
-            return None; // we are the owner and don't have it: unknown
+            return Ok(None); // we are the owner and don't have it: unknown
         }
-        let cached = self.remote_models.lock().unwrap().get(name).cloned();
-        let req = Request::ModelPullCurrent {
+        let mut single = RunPlan::default();
+        let p = self.plan_pull(&mut single, &owner, name);
+        single.streams[0].send(&self.metrics);
+        self.take_pull(&mut single, p).map_err(Self::internal)
+    }
+
+    /// Queue a `ModelPullCurrent` of `name` on `plan`'s stream to
+    /// `owner`, quoting the version of the copy cached from that owner.
+    fn plan_pull<'a>(&'a self, plan: &mut RunPlan<'a>, owner: &str, name: &str) -> usize {
+        let cached = self.remote_model(owner, name);
+        let stream = plan.stream_to(&self.cluster, owner);
+        let seq = plan.streams[stream].push(&Request::ModelPullCurrent {
             session: name.to_string(),
             cached_version: cached.as_ref().map_or(u64::MAX, |(v, _)| *v),
+        });
+        plan.pulls.push(Pull {
+            session: name.to_string(),
+            stream,
+            seq,
+            cached,
+            open: true,
+            uses: 0,
+            held: None,
+        });
+        plan.pulls.len() - 1
+    }
+
+    /// The model pull `p` of `plan` answered: read its reply the first
+    /// time a member asks, and hand later planned members of the same
+    /// session the same model. A transfer is counted once, in
+    /// `cluster.model.remote_hits` and `cluster.pull_bytes`, and cached
+    /// under the owner and the version it reported; "your cached version
+    /// is current" serves the copy whose version the pull quoted (held
+    /// since planning, so eviction cannot race).
+    fn take_pull(
+        &self,
+        plan: &mut RunPlan,
+        p: usize,
+    ) -> Result<Option<Arc<StatStackModel>>, String> {
+        let pull = &mut plan.pulls[p];
+        pull.uses = pull.uses.saturating_sub(1);
+        let taken = match pull.held.take() {
+            Some(held) => held,
+            None => self.read_pull(pull, &mut plan.streams[pull.stream]),
         };
-        match self.cluster.call(&owner, &req) {
-            Ok(Response::ModelEntry {
-                version,
-                model: Some(w),
-            }) => {
-                let model = Arc::new(StatStackModel::from_parts(w.to_parts()));
-                self.metrics
-                    .cluster_model_remote_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut cache = self.remote_models.lock().unwrap();
-                if cache.len() >= self.remote_model_cache_cap && !cache.contains_key(name) {
-                    cache.clear();
-                }
-                cache.insert(name.to_string(), (version, Arc::clone(&model)));
-                Some(model)
-            }
-            // "Your cached version is current" — serve the copy whose
-            // version we quoted (held above, so eviction cannot race).
-            Ok(Response::ModelEntry {
-                version,
-                model: None,
-            }) => cached.filter(|(v, _)| *v == version).map(|(_, m)| m),
-            _ => None,
+        // Later members of the session share it; after the last one the
+        // run stops holding a model the cache may already have replaced.
+        if pull.uses > 0 {
+            pull.held = Some(taken.clone());
         }
+        taken
+    }
+
+    /// Read pull `pull`'s reply off `stream` and resolve it to a model.
+    fn read_pull(
+        &self,
+        pull: &mut Pull,
+        stream: &mut PeerStream,
+    ) -> Result<Option<Arc<StatStackModel>>, String> {
+        let cached = pull.cached.take();
+        stream
+            .reply_sized(pull.seq)
+            .map(|(resp, bytes)| match resp {
+                Response::ModelEntry {
+                    version,
+                    model: Some(w),
+                } => {
+                    let model = Arc::new(StatStackModel::from_parts(w.into_parts()));
+                    let m = &self.metrics;
+                    m.cluster_model_remote_hits.fetch_add(1, Ordering::Relaxed);
+                    m.cluster_pull_bytes
+                        .fetch_add(bytes as u64, Ordering::Relaxed);
+                    let mut cache = self
+                        .remote_models
+                        .lock()
+                        .expect("remote model cache poisoned");
+                    if cache.len() >= self.remote_model_cache_cap
+                        && !cache.contains_key(&pull.session)
+                    {
+                        cache.clear();
+                    }
+                    let entry = (stream.dest().to_string(), version, Arc::clone(&model));
+                    cache.insert(pull.session.clone(), entry);
+                    Some(model)
+                }
+                Response::ModelEntry {
+                    version,
+                    model: None,
+                } => cached.filter(|(v, _)| *v == version).map(|(_, m)| m),
+                _ => None,
+            })
+    }
+
+    /// The cached model of `session` pulled from `owner`, with the
+    /// version the owner reported. Entries pulled from another owner do
+    /// not count: versions are per node.
+    fn remote_model(&self, owner: &str, session: &str) -> Option<(u64, Arc<StatStackModel>)> {
+        let cache = self
+            .remote_models
+            .lock()
+            .expect("remote model cache poisoned");
+        let (from, version, model) = cache.get(session)?;
+        (from == owner).then(|| (*version, Arc::clone(model)))
+    }
+}
+
+/// The peer traffic [`ServeState::plan`] laid out for one segment of a
+/// run: one stream per peer, where each forwarded request's reply is,
+/// and the model pulls the `CoRun`/`Place` members take.
+#[derive(Default)]
+struct RunPlan<'a> {
+    streams: Vec<PeerStream<'a>>,
+    /// Per request: `(stream, reply index)` when it was forwarded.
+    /// Empty when nothing was planned.
+    forwards: Vec<Option<(usize, usize)>>,
+    pulls: Vec<Pull>,
+    /// `(request, pull)` for each member that takes a planned pull, in
+    /// request order.
+    member_pulls: Vec<(usize, usize)>,
+    /// The request executing now.
+    at: usize,
+}
+
+/// One planned `ModelPullCurrent`.
+struct Pull {
+    session: String,
+    stream: usize,
+    /// Its reply's index in the stream.
+    seq: usize,
+    /// The cached copy the pull quoted, served on a "current" reply.
+    cached: Option<(u64, Arc<StatStackModel>)>,
+    /// A later member of the session may reuse this pull: no forwarded
+    /// submit to the session was planned since.
+    open: bool,
+    /// Planned members that have not taken the model yet.
+    uses: usize,
+    /// The model, once read, while planned members still need it.
+    held: Option<Result<Option<Arc<StatStackModel>>, String>>,
+}
+
+impl<'a> RunPlan<'a> {
+    /// The index of the stream to `dest`, opened on first use.
+    fn stream_to(&mut self, cluster: &'a ClusterState, dest: &str) -> usize {
+        match self.streams.iter().position(|s| s.dest() == dest) {
+            Some(i) => i,
+            None => {
+                self.streams.push(cluster.stream(dest));
+                self.streams.len() - 1
+            }
+        }
+    }
+
+    /// The pull planned for member `name` of the executing request.
+    fn pull_of(&self, name: &str) -> Option<usize> {
+        let at = self.at;
+        self.member_pulls
+            .iter()
+            .skip_while(|(i, _)| *i < at)
+            .take_while(|(i, _)| *i == at)
+            .map(|&(_, p)| p)
+            .find(|&p| self.pulls[p].session == name)
     }
 }
 
@@ -1778,7 +2108,7 @@ const TIMER_REARM_GRACE: Duration = Duration::from_millis(10);
 /// thread, compute on the worker pool, completions back over
 /// [`CompletionQueue`]. See the module docs for the degradation rules;
 /// the response bytes per request are identical to the threaded path
-/// because both call [`ServeState::handle`].
+/// because both call [`ServeState::handle_run`].
 #[cfg(target_os = "linux")]
 fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, threads: usize) {
     let pool = WorkerPool::new(threads, cfg.queue_depth);
@@ -2325,9 +2655,7 @@ impl EpollLoop {
                 let work = Box::new(move || {
                     let done = job
                         .into_iter()
-                        .map(|(token, run)| {
-                            (token, run.into_iter().map(|req| st.handle(req)).collect())
-                        })
+                        .map(|(token, run)| (token, st.handle_run(run)))
                         .collect();
                     cq.push_batch(done);
                 });

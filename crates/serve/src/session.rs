@@ -138,8 +138,8 @@ struct SessionEntry {
     profile: Profile,
     /// Samples submitted since the last fit.
     pending: StatStackBuilder,
-    /// Bumped on every submit; a cached fit is valid iff its version
-    /// matches.
+    /// Bumped on every submit, starting from the shard's high-water
+    /// mark; a cached fit is valid iff its version matches.
     version: u64,
     /// The last published fit and the version it covers.
     cached: Option<(u64, Arc<StatStackModel>)>,
@@ -254,6 +254,11 @@ pub struct SessionStore {
     /// (cleared or re-inserted) and skipped lazily.
     tombstone_fifo: VecDeque<(String, u64)>,
     tombstone_seq: u64,
+    /// The highest version any session of this shard has held. A new
+    /// session starts from it, so a session evicted and then created
+    /// again never reuses a version: `(session, version)` names one
+    /// history on this node, which is what peers' cached pulls rely on.
+    version_hwm: u64,
     clock: u64,
     bytes: usize,
     evictions: u64,
@@ -289,6 +294,7 @@ impl SessionStore {
             tombstones: FxHashMap::default(),
             tombstone_fifo: VecDeque::new(),
             tombstone_seq: 0,
+            version_hwm: 0,
             clock: 0,
             bytes: 0,
             evictions: 0,
@@ -504,7 +510,7 @@ impl SessionStore {
                         ..Profile::default()
                     },
                     pending: StatStackBuilder::new(batch.line_bytes),
-                    version: 0,
+                    version: self.version_hwm,
                     cached: None,
                     bytes: SESSION_OVERHEAD_BYTES + name.len(),
                     last_used: now,
@@ -525,6 +531,7 @@ impl SessionStore {
         let before = profile_bytes(&entry.profile);
         entry.pending.push_batch(&batch.reuse, &batch.dangling);
         entry.version += 1;
+        self.version_hwm = self.version_hwm.max(entry.version);
         entry.profile.total_refs += batch.total_refs;
         entry.profile.sample_period = batch.sample_period;
         entry.profile.reuse.extend(batch.reuse);
@@ -787,10 +794,12 @@ impl SessionStore {
         }
         let out = self.submit(name, batch)?;
         if let Some(ix) = self.index_of(name) {
-            // submit() set version 1 and staged the batch as pending;
-            // rewrite both to reflect the exporter's state.
+            // submit() gave the session its own next version and staged
+            // the batch as pending; rewrite both to reflect the
+            // exporter's state.
             let e = &mut self.entries[ix];
             e.version = version;
+            self.version_hwm = self.version_hwm.max(version);
             if let Some(m) = model {
                 e.pending.clear();
                 e.cached = Some((version, m));
@@ -1317,6 +1326,29 @@ mod tests {
     }
 
     #[test]
+    fn recreated_sessions_never_reuse_a_version() {
+        // One session's worth of budget: each new session evicts the
+        // previous one.
+        let mut s = SessionStore::new(SESSION_OVERHEAD_BYTES + 400);
+        s.submit("a", batch(5)).unwrap();
+        s.submit("a", batch(5)).unwrap();
+        assert_eq!(s.version_of("a"), Some(2));
+        s.submit("b", batch(5)).unwrap();
+        assert!(!s.contains("a"), "b evicted a");
+        assert_eq!(s.version_of("b"), Some(3), "b starts past a's versions");
+        s.submit("a", batch(5)).unwrap();
+        assert_eq!(
+            s.version_of("a"),
+            Some(4),
+            "the new incarnation of a never names the old one's history"
+        );
+        // Imports keep the exporter's counter and raise the mark.
+        s.import("c", 40, batch(5), None).unwrap();
+        s.submit("d", batch(5)).unwrap();
+        assert_eq!(s.version_of("d"), Some(41));
+    }
+
+    #[test]
     fn incremental_session_model_matches_from_scratch() {
         let mut s = SessionStore::new(1 << 20);
         s.submit("a", batch(40)).unwrap();
@@ -1431,8 +1463,10 @@ mod tests {
         names.sort();
         assert_eq!(names, (0..6).map(|i| format!("s{i}")).collect::<Vec<_>>());
         let b = ShardedSessionStore::new(1 << 20, 2);
+        let mut versions = Vec::new();
         for name in &names {
             let ex = a.export(name).unwrap();
+            versions.push(ex.version);
             b.import(name, ex.version, ex.batch, ex.model).unwrap();
             assert!(a.remove_migrated(name, ex.version, "b:0"));
         }
@@ -1442,7 +1476,11 @@ mod tests {
         assert_eq!(a.tombstone_of("s3"), Some("b:0".to_string()));
         assert_eq!(b.len(), 6);
         for (i, name) in names.iter().enumerate() {
-            assert_eq!(b.version_of(name), Some(1));
+            assert_eq!(
+                b.version_of(name),
+                Some(versions[i]),
+                "imports keep the version"
+            );
             assert!(b.contains(name));
             b.with_profile(name, |p| assert_eq!(p.reuse.len(), 10 + i)).unwrap();
         }

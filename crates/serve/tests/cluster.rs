@@ -5,8 +5,8 @@
 use repf_sampling::ReuseSample;
 use repf_serve::{
     apply_membership, generate_trace, replay_against, replay_clustered, replay_spawned, start,
-    ChurnEvent, Client, GenConfig, LogHisto, ReplayConfig, Ring, RingChange, RingSpec, SampleBatch,
-    ServeConfig, Target, DEFAULT_VNODES,
+    ChurnEvent, Client, ClientError, ErrorCode, GenConfig, LogHisto, ReplayConfig, Request, Ring,
+    RingChange, RingSpec, SampleBatch, ServeConfig, StorePolicy, Target, DEFAULT_VNODES,
 };
 use repf_trace::{AccessKind, Pc};
 use std::net::SocketAddr;
@@ -601,6 +601,99 @@ fn drain_migrates_models_and_forwards_stragglers() {
         );
     }
 
+    a.shutdown();
+    b.shutdown();
+}
+
+/// A session evicted on its owner and then created again is never
+/// answered from a peer's pulled copy of the old incarnation: the owner
+/// numbers the new incarnation past every version its shard has used,
+/// so the peer's "is my cached version current?" pull gets the new
+/// model. Both nodes answer with the same bytes.
+#[test]
+fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
+    let a = start(ServeConfig::default()).expect("start a");
+    // Room for one 30-sample session: a second one evicts the first.
+    let b = start(ServeConfig {
+        session_budget_bytes: 2_000,
+        shards: 1,
+        store_policy: Some(StorePolicy::Lru),
+        ..ServeConfig::default()
+    })
+    .expect("start b");
+    let members: Vec<String> = vec![a.addr().to_string(), b.addr().to_string()];
+    let spec = RingSpec {
+        seed: 7,
+        vnodes: DEFAULT_VNODES,
+        nodes: members.clone(),
+    };
+    apply_membership(&members, &spec).expect("install ring");
+    let ring = Ring::new(7, DEFAULT_VNODES, members.clone());
+    let on_b: Vec<String> = (0..)
+        .map(|i| format!("recreated-s{i}"))
+        .filter(|s| ring.owner(s) == Some(members[1].as_str()))
+        .take(2)
+        .collect();
+    let (session, filler) = (&on_b[0], &on_b[1]);
+    // Every reuse at distance `d`: a cache of 64 KiB misses all of them
+    // at d = 1 << 30 and hits all of them at d = 1.
+    let batch_at = |d: u64| {
+        let mut batch = SampleBatch {
+            total_refs: 1_000_000,
+            sample_period: 1009,
+            line_bytes: 64,
+            ..SampleBatch::default()
+        };
+        for i in 0..30u64 {
+            batch.reuse.push(ReuseSample {
+                start_pc: Pc(100),
+                start_kind: AccessKind::Load,
+                end_pc: Pc(100),
+                end_kind: AccessKind::Load,
+                distance: d,
+                start_index: i * 1000,
+            });
+        }
+        batch
+    };
+    let co_run = Request::CoRun {
+        sessions: vec![session.clone()],
+        sizes_bytes: vec![64 << 10, 1 << 40],
+        intensities: Vec::new(),
+    };
+    let mut ca = Client::connect(a.addr()).expect("connect a");
+    let mut cb = Client::connect(b.addr()).expect("connect b");
+
+    cb.submit_batch(session, batch_at(1 << 30))
+        .expect("first incarnation");
+    let old = ca.call_any(&co_run).expect("co-run via a pulls the model");
+    cb.submit_batch(filler, batch_at(1)).expect("filler");
+    let gone = cb.query_mrc(Target::Session(session.clone()), vec![64 << 10]);
+    assert!(
+        matches!(
+            gone,
+            Err(ClientError::Server {
+                code: ErrorCode::UnknownSession,
+                ..
+            })
+        ),
+        "the filler must evict the session: {gone:?}"
+    );
+    cb.submit_batch(session, batch_at(1))
+        .expect("second incarnation");
+
+    let via_a = ca.call_any(&co_run).expect("co-run via a");
+    let via_b = cb.call_any(&co_run).expect("co-run via b");
+    assert_ne!(
+        old.encode(),
+        via_b.encode(),
+        "the incarnations answer differently"
+    );
+    assert_eq!(
+        via_a.encode(),
+        via_b.encode(),
+        "a peer must answer from the live incarnation, not the evicted one"
+    );
     a.shutdown();
     b.shutdown();
 }
