@@ -2,8 +2,7 @@
 //! order. Budget ~20-40 minutes at default scale; set `REPF_MIXES` /
 //! `REPF_MIX_SCALE` / `REPF_SCALE` to shrink and `REPF_THREADS` to pick
 //! the evaluation engine's worker count. Writes a machine-readable
-//! summary of the mix-study phase to `BENCH_mixstudy.json` and of the
-//! serving benchmark to `BENCH_serve.json`.
+//! summary of the mix-study phase to `BENCH_mixstudy.json`.
 use repf_bench::figs;
 use repf_bench::obs::{self, Timings};
 use repf_sim::Exec;
@@ -34,7 +33,6 @@ fn main() {
     figs::mixfigs::print_fig11(&studies);
     timings.time("fig8", || figs::fig8::run(scale, repf_bench::env_mix_scale()));
     timings.time("fig12", || figs::fig12::run(scale));
-    timings.time("serve", repf_bench::servebench::run);
     eprintln!(
         "[time] total (outside mix studies): {:.2}s; mix studies: {:.2}s on {} thread(s)",
         timings.total_secs(),

@@ -36,7 +36,6 @@
 pub mod figs;
 pub mod mixeval;
 pub mod obs;
-pub mod servebench;
 pub mod soloeval;
 
 use repf_sim::MachineConfig;

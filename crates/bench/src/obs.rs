@@ -1,8 +1,8 @@
 //! Observability for the benchmark harness: phase wall-clock timing,
 //! progress lines, and (via [`repf_metrics::json`]) the dependency-free
-//! JSON value behind the machine-readable `BENCH_mixstudy.json` /
-//! `BENCH_serve.json` summaries — so the perf trajectory of the
-//! evaluation engine is tracked from run to run.
+//! JSON value behind the machine-readable `BENCH_mixstudy.json`
+//! summary — so the perf trajectory of the evaluation engine is tracked
+//! from run to run.
 
 use std::time::Instant;
 

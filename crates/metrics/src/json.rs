@@ -1,8 +1,8 @@
 //! A minimal JSON value and writer — enough for the machine-readable
-//! harness summaries (`BENCH_mixstudy.json`, `BENCH_serve.json`) without
-//! an external serialization crate. Shared by the benchmark harness and
-//! the serve daemon so there is exactly one escaping/formatting
-//! implementation.
+//! harness summary (`BENCH_mixstudy.json`) and the `repf load` report
+//! without an external serialization crate. Shared by the benchmark
+//! harness and the serve crate so there is exactly one
+//! escaping/formatting implementation.
 
 /// A minimal JSON value.
 pub enum Json {

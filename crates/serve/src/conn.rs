@@ -9,11 +9,11 @@
 //! `TcpStream` plus the deadline bookkeeping the event loop's timer
 //! heap reads.
 //!
-//! Deadline semantics mirror the threaded path's `read_frame_polling`:
-//! the idle clock for a frame starts when the previous frame completed
-//! (or the connection was accepted) and is **not** extended by partial
-//! progress — a peer dripping one byte per poll interval (slow loris)
-//! is evicted after `idle_timeout` just like an entirely silent one.
+//! Deadline semantics: the idle clock for a frame starts when the
+//! previous frame completed (or the connection was accepted) and is
+//! **not** extended by partial progress — a peer dripping one byte per
+//! poll interval (slow loris) is evicted after `idle_timeout` just like
+//! an entirely silent one.
 //! The write clock starts when buffered output stalls and clears when
 //! the buffer drains.
 
@@ -244,8 +244,8 @@ pub struct Conn {
     pub interest: u32,
     /// A framing violation was observed; the Malformed error is sent
     /// (and the connection closed) only after the complete frames that
-    /// arrived ahead of it have been answered, matching the threaded
-    /// path's answer-then-close order for pipelined clients.
+    /// arrived ahead of it have been answered: answer-then-close, in
+    /// order, for pipelined clients.
     pub poison: Option<ProtoError>,
     /// Idle/slow-loris deadline: when the frame being awaited must be
     /// complete.

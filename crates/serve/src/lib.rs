@@ -7,6 +7,9 @@
 //! plans (MDDLI delinquent-load selection + stride + distance + bypass)
 //! for either their own sessions or the built-in benchmark pool.
 //!
+//! The crate is Linux-only: connection I/O runs on `epoll` and
+//! `eventfd`, so other targets stop at a `compile_error!`.
+//!
 //! Layout:
 //!
 //! * [`proto`] — the versioned, length-prefixed frame format and every
@@ -15,22 +18,20 @@
 //!   hard byte budget, sharded by session-name hash into independently
 //!   locked slices with per-session cached StatStack fits (versioned
 //!   invalidation, incremental refits).
-//! * [`server`] — the daemon: a readiness-polled epoll event loop
-//!   (default on Linux) or the thread-per-connection reference path
-//!   (`--io-mode threads`), both over a bounded worker-pool request
-//!   queue with `Busy` shedding, a `max_conns` accept cap,
-//!   per-connection timeouts, malformed input rejection that never
-//!   kills the process, and an eventfd-signalled drain-then-exit
-//!   shutdown control message.
+//! * [`server`] — the daemon: a readiness-polled epoll event loop over
+//!   a bounded worker-pool request queue with `Busy` shedding, a
+//!   `max_conns` accept cap, per-connection timeouts, malformed input
+//!   rejection that never kills the process, and an eventfd-signalled
+//!   drain-then-exit shutdown control message.
 //! * [`conn`] — the per-connection nonblocking state machine the event
 //!   loop drives: incremental frame accumulation, buffered partial
 //!   writes, idle/write deadlines.
 //! * [`poll`] — thin `extern "C"` wrappers over Linux
-//!   `epoll`/`eventfd` (no external crates; Linux-only module).
+//!   `epoll`/`eventfd` (no external crates).
 //! * [`client`] — a blocking client with typed helpers for every
 //!   request.
 //! * [`metrics`] — the lock-free server metrics registry behind the
-//!   `Stats` request and `BENCH_serve.json`.
+//!   `Stats` request.
 //! * [`trace_file`] — versioned binary trace files capturing request
 //!   frames for record/replay.
 //! * [`replay`] — the deterministic multi-node record/replay harness:
@@ -45,12 +46,14 @@
 //!   pool, request forwarding, live session migration with tombstone
 //!   chasing, and the losers-first membership orchestrator.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("repf-serve is Linux-only: its event loop is built on epoll and eventfd");
+
 pub mod client;
 pub mod cluster;
 pub mod conn;
 pub mod loadgen;
 pub mod metrics;
-#[cfg(target_os = "linux")]
 pub mod poll;
 pub mod proto;
 pub mod replay;
@@ -78,10 +81,7 @@ pub use replay::{
     generate_trace, replay_against, replay_clustered, replay_spawned, ChurnEvent, Divergence,
     GenConfig, Oracle, ReplayConfig, ReplayReport, ReplayRng, RingChange,
 };
-pub use server::{
-    resolve_io_mode, resolve_max_conns, resolve_shards, resolve_store_policy, start, IoMode,
-    ServeConfig, ServerHandle,
-};
+pub use server::{start, ServeConfig, ServerHandle};
 pub use session::{
     SessionExport, ShardStats, ShardedSessionStore, SessionStore, StorePolicy, SubmitOutcome,
     SubmitRejected,

@@ -1,5 +1,6 @@
 //! Open-loop, coordinated-omission-safe load generator for the serve
-//! daemon (`repf load`, `serve_bench`'s `sustained_load` scenario).
+//! daemon (`repf load`; perfbench's serving workloads reuse its op
+//! schedule).
 //!
 //! ## Why open-loop
 //!
@@ -581,8 +582,7 @@ impl LoadReport {
         ])
     }
 
-    /// The machine-readable report (`repf load` prints this; the bench
-    /// harness embeds it in `BENCH_serve.json`).
+    /// The machine-readable report (`repf load` prints this).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("mix", Json::str(self.cfg.mix.as_str())),
@@ -860,7 +860,6 @@ pub fn fd_budget(conns: usize, total_drivers: usize) -> u64 {
 /// best-effort raise. A herd that half-opens because the OS ran out of
 /// descriptors mid-run produces silently wrong latency numbers; better
 /// to stop up front and say exactly what `ulimit -n` value is needed.
-#[cfg(target_os = "linux")]
 pub fn preflight_fd_budget(conns: usize, total_drivers: usize) -> std::io::Result<()> {
     let need = fd_budget(conns, total_drivers);
     let have = crate::poll::raise_nofile_limit(need);
@@ -872,13 +871,6 @@ pub fn preflight_fd_budget(conns: usize, total_drivers: usize) -> std::io::Resul
             conns.max(total_drivers),
         )));
     }
-    Ok(())
-}
-
-/// Portable no-op: platforms without `RLIMIT_NOFILE` wrappers find out
-/// the hard way, as before.
-#[cfg(not(target_os = "linux"))]
-pub fn preflight_fd_budget(_conns: usize, _total_drivers: usize) -> std::io::Result<()> {
     Ok(())
 }
 

@@ -1,8 +1,7 @@
 //! The server-side metrics registry: request/error/busy counters,
 //! per-query-class latency histograms, plan-cache hit/miss and session
 //! eviction counts — `bench/src/obs.rs`-style observability for the
-//! daemon, exposed through the `Stats` request and dumped into
-//! `BENCH_serve.json` by the loopback benchmark.
+//! daemon, exposed through the `Stats` request.
 //!
 //! Everything is lock-free atomics so the request workers never contend
 //! on telemetry.
@@ -16,7 +15,6 @@
 //! relative error instead of the old pure-power-of-two ≤ 2×.
 
 use crate::proto::REQUEST_KINDS;
-use repf_metrics::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two octave: `2^SUB_BITS`.
@@ -409,16 +407,6 @@ impl Metrics {
         }
         out
     }
-
-    /// The snapshot as a JSON object (for `BENCH_serve.json`).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.snapshot()
-                .into_iter()
-                .map(|(k, v)| (k, Json::Num(v)))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -568,15 +556,5 @@ mod tests {
         let snap = m.snapshot();
         let stats = snap.iter().find(|(k, _)| k == "requests.stats").unwrap();
         assert_eq!(stats.1, 2.0);
-    }
-
-    #[test]
-    fn snapshot_renders_as_json() {
-        let m = Metrics::new();
-        m.errors.fetch_add(1, Ordering::Relaxed);
-        let s = m.to_json().render();
-        assert!(s.contains("\"errors\":1"));
-        assert!(s.contains("\"latency.mrc.p99_us\""));
-        assert!(s.contains("\"io.batch.flushes\""));
     }
 }

@@ -1,11 +1,10 @@
 //! Thin, dependency-free wrappers over the Linux readiness APIs the
 //! event-loop server needs: `epoll_create1`/`epoll_ctl`/`epoll_wait`,
-//! `eventfd`, and a `RLIMIT_NOFILE` raise for the many-connection bench.
+//! `eventfd`, and a `RLIMIT_NOFILE` raise for the load generator's
+//! connection herd.
 //!
 //! Everything is declared with `extern "C"` against the platform libc —
 //! the workspace stays offline and std-only, no `libc`/`mio` crates.
-//! The whole module is Linux-only; the server falls back to the
-//! thread-per-connection path elsewhere.
 //!
 //! Safety model: every fd created here is owned by the wrapping struct
 //! and closed on drop; raw-fd arguments are taken as `RawFd` from live
@@ -13,8 +12,6 @@
 //! manages — an fd must be [`Poller::del`]eted before its owner closes
 //! it (or the epoll set simply forgets it on close, which is also fine
 //! for level-triggered use).
-
-#![cfg(target_os = "linux")]
 
 use std::io;
 use std::os::unix::io::RawFd;

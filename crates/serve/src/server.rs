@@ -1,28 +1,21 @@
-//! The TCP daemon: connection I/O in one of two modes, plus a bounded
-//! request worker pool built on [`repf_sim::WorkerPool`].
+//! The TCP daemon: one readiness-polled I/O thread plus a bounded
+//! request worker pool built on [`repf_sim::WorkerPool`]. Linux-only
+//! (see the crate docs).
 //!
-//! ## I/O modes
+//! ## Connection I/O
 //!
-//! * [`IoMode::Epoll`] (default on Linux) — a single readiness-polled
-//!   I/O thread drives every socket nonblocking through
-//!   [`crate::poll`]'s `epoll`/`eventfd` wrappers, with per-connection
-//!   state machines ([`crate::conn`]) for incremental frame reads,
-//!   buffered partial writes and idle/slow-loris deadlines on a sorted
-//!   deadline heap. Compute still runs on the bounded worker pool: an
-//!   idle connection's queued frames leave as one *run* (up to 32
-//!   requests, handled in arrival order inside one worker job, with the
-//!   run's peer traffic sent as one stream per peer — see
-//!   `ServeState::handle_run`), and the run's replies come back
-//!   together over an eventfd-woken queue and leave in one `writev`.
-//!   10k mostly-idle connections cost one thread and zero timer churn.
-//! * [`IoMode::Threads`] — the original thread-per-connection path:
-//!   each accepted socket gets an OS thread doing blocking reads with a
-//!   100 ms poll. Kept as the bit-identity reference (`--io-mode
-//!   threads`) and the non-Linux fallback.
-//!
-//! Both modes share `ServeState::handle_run` (threads mode sends runs
-//! of one), so every response is byte-identical between them — asserted
-//! by the replay digest tests.
+//! A single I/O thread drives every socket nonblocking through
+//! [`crate::poll`]'s `epoll`/`eventfd` wrappers, with per-connection
+//! state machines ([`crate::conn`]) for incremental frame reads,
+//! buffered partial writes and idle/slow-loris deadlines on a sorted
+//! deadline heap. Compute runs on the bounded worker pool: an idle
+//! connection's queued frames leave as one *run* (up to 32 requests,
+//! handled in arrival order inside one worker job, with the run's peer
+//! traffic sent as one stream per peer — see `ServeState::handle_run`),
+//! and the run's replies come back together over an eventfd-woken
+//! queue and leave in one `writev`. 10k mostly-idle connections cost
+//! one thread and zero timer churn. The replay oracle checks every
+//! reply byte against direct in-process computation.
 //!
 //! Degradation-first design, in order of what can go wrong:
 //!
@@ -41,101 +34,35 @@
 //!   counted (`accept.errors`) and back off exponentially instead of
 //!   hot-looping;
 //! * **shutdown** — the `Shutdown` control message (or
-//!   [`ServerHandle::shutdown`]) signals an eventfd, stops the
-//!   acceptor, lets every connection finish its in-flight request (or
-//!   run), drains the worker queue, and joins all threads.
+//!   [`ServerHandle::shutdown`]) signals an eventfd, stops accepting,
+//!   lets every connection finish its in-flight run, drains the worker
+//!   queue, and joins all threads.
 
 use crate::cluster::{ClusterState, PeerStream, Route, MAX_FORWARD_HOPS, MIGRATE_REDO_MAX};
+use crate::conn::{Conn, ReadOutcome as ConnRead};
 use crate::metrics::Metrics;
+use crate::poll::{EpollEvent, EventFd, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::proto::{self, ErrorCode, MachineId, ModelWire, Request, Response, SampleBatch, Target};
 use crate::ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use crate::session::{ShardedSessionStore, StorePolicy, SubmitRejected};
-use repf_core::{analyze, analyze_with_model};
+use repf_core::analyze_with_model;
 use repf_sim::{amd_phenom_ii, intel_i7_2600k, Exec, PlanCache, SubmitError, WorkerPool};
 use repf_statstack::{CoRunModel, StatStackModel};
 use repf_trace::hash::FxHashMap;
 use repf_workloads::BuildOptions;
-use std::io::{Read, Write};
+use std::collections::{BinaryHeap, HashMap};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-#[cfg(target_os = "linux")]
-use crate::conn::{Conn, ReadOutcome as ConnRead};
-#[cfg(target_os = "linux")]
-use crate::poll::{
-    EpollEvent, EventFd, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
-#[cfg(target_os = "linux")]
-use std::collections::{BinaryHeap, HashMap};
-#[cfg(target_os = "linux")]
-use std::os::unix::io::AsRawFd;
 
 /// Default entry bound on the co-run remote-model cache; at the cap the
 /// map is cleared wholesale rather than evicted piecemeal —
 /// deterministic, and cache contents only affect pull traffic, never
 /// response bytes. Configurable via [`ServeConfig::remote_model_cache_cap`].
 pub const REMOTE_MODEL_CACHE_CAP: usize = 64;
-
-/// How the daemon drives connection I/O.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoMode {
-    /// Resolve from `REPF_SERVE_IO_MODE`, defaulting to [`Self::Epoll`]
-    /// on Linux and [`Self::Threads`] elsewhere.
-    Auto,
-    /// One OS thread per connection, blocking reads with a wake poll.
-    Threads,
-    /// One readiness-polled I/O thread for all connections (Linux).
-    Epoll,
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(IoMode::Auto),
-            "threads" => Ok(IoMode::Threads),
-            "epoll" => Ok(IoMode::Epoll),
-            other => Err(format!("unknown io mode '{other}' (threads|epoll|auto)")),
-        }
-    }
-}
-
-impl std::fmt::Display for IoMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoMode::Auto => "auto",
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        })
-    }
-}
-
-/// Resolve a configured I/O mode to a concrete one: explicit value,
-/// else the `REPF_SERVE_IO_MODE` environment variable, else the
-/// platform default (`epoll` on Linux, `threads` elsewhere). A
-/// non-Linux `epoll` request falls back to `threads`.
-pub fn resolve_io_mode(configured: IoMode) -> IoMode {
-    let mode = match configured {
-        IoMode::Auto => std::env::var("REPF_SERVE_IO_MODE")
-            .ok()
-            .and_then(|v| v.parse::<IoMode>().ok())
-            .filter(|m| *m != IoMode::Auto)
-            .unwrap_or(if cfg!(target_os = "linux") {
-                IoMode::Epoll
-            } else {
-                IoMode::Threads
-            }),
-        explicit => explicit,
-    };
-    if mode == IoMode::Epoll && !cfg!(target_os = "linux") {
-        return IoMode::Threads;
-    }
-    mode
-}
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -150,19 +77,11 @@ pub struct ServeConfig {
     /// Session-store byte budget (LRU eviction above it), split evenly
     /// across the shards.
     pub session_budget_bytes: usize,
-    /// Session-store shard count; submits and queries to sessions in
-    /// different shards never contend on a lock. `0` reads the
-    /// `REPF_SERVE_SHARDS` environment variable, falling back to 8.
+    /// Session-store shard count (0 counts as 1); submits and queries to
+    /// sessions in different shards never contend on a lock.
     pub shards: usize,
-    /// Cache fitted session models across queries (versioned
-    /// invalidation on submit). Disable to measure the refit-per-query
-    /// baseline.
-    pub model_cache: bool,
-    /// Connection I/O mode ([`resolve_io_mode`] resolves `Auto`).
-    pub io_mode: IoMode,
     /// Open-connection cap; accepts past it are shed with a `Busy`
-    /// response (`connections.shed`). `0` reads `REPF_SERVE_MAX_CONNS`,
-    /// falling back to 4096.
+    /// response (`connections.shed`).
     pub max_conns: usize,
     /// Drop a connection after this long without a complete frame.
     pub idle_timeout: Duration,
@@ -187,10 +106,8 @@ pub struct ServeConfig {
     pub cluster_seed: u64,
     /// Virtual nodes per ring member for the initial `--peers` ring.
     pub vnodes: u32,
-    /// Session-store admission/eviction policy. `None` reads the
-    /// `REPF_SERVE_STORE_POLICY` environment variable, falling back to
-    /// [`StorePolicy::Lru`].
-    pub store_policy: Option<StorePolicy>,
+    /// Session-store admission/eviction policy.
+    pub store_policy: StorePolicy,
     /// Entry bound on the co-run remote-model cache (cleared wholesale
     /// at the cap). Cache contents never affect response bytes, only
     /// pull traffic, so shrinking this is safe — tests use it to force
@@ -205,10 +122,8 @@ impl Default for ServeConfig {
             threads: 0,
             queue_depth: 64,
             session_budget_bytes: 64 << 20,
-            shards: 0,
-            model_cache: true,
-            io_mode: IoMode::Auto,
-            max_conns: 0,
+            shards: 8,
+            max_conns: 4096,
             idle_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             refs_scale: 0.05,
@@ -216,48 +131,10 @@ impl Default for ServeConfig {
             advertise: None,
             cluster_seed: DEFAULT_RING_SEED,
             vnodes: DEFAULT_VNODES,
-            store_policy: None,
+            store_policy: StorePolicy::Lru,
             remote_model_cache_cap: REMOTE_MODEL_CACHE_CAP,
         }
     }
-}
-
-/// Resolve a configured shard count: explicit value, else the
-/// `REPF_SERVE_SHARDS` environment variable, else 8.
-pub fn resolve_shards(configured: usize) -> usize {
-    if configured != 0 {
-        return configured;
-    }
-    std::env::var("REPF_SERVE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n != 0)
-        .unwrap_or(8)
-}
-
-/// Resolve a configured store policy: explicit value, else the
-/// `REPF_SERVE_STORE_POLICY` environment variable, else LRU.
-pub fn resolve_store_policy(configured: Option<StorePolicy>) -> StorePolicy {
-    if let Some(p) = configured {
-        return p;
-    }
-    std::env::var("REPF_SERVE_STORE_POLICY")
-        .ok()
-        .and_then(|v| v.parse::<StorePolicy>().ok())
-        .unwrap_or(StorePolicy::Lru)
-}
-
-/// Resolve a configured connection cap: explicit value, else the
-/// `REPF_SERVE_MAX_CONNS` environment variable, else 4096.
-pub fn resolve_max_conns(configured: usize) -> usize {
-    if configured != 0 {
-        return configured;
-    }
-    std::env::var("REPF_SERVE_MAX_CONNS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n != 0)
-        .unwrap_or(4096)
 }
 
 /// A model pulled from a peer: the owner it came from, the version that
@@ -267,7 +144,6 @@ type PulledModel = (String, u64, Arc<StatStackModel>);
 /// Shared server state: sessions, per-machine plan caches, metrics.
 pub(crate) struct ServeState {
     sessions: ShardedSessionStore,
-    model_cache: bool,
     /// Lazy plan caches for the two Table II machines; compute-once
     /// across concurrent clients via [`PlanCache`]'s per-slot cells.
     plans_amd: PlanCache,
@@ -284,9 +160,8 @@ pub(crate) struct ServeState {
     remote_models: Mutex<FxHashMap<String, PulledModel>>,
     remote_model_cache_cap: usize,
     shutting_down: AtomicBool,
-    /// Wakes the I/O loop (epoll) or acceptor (threads) out of its
-    /// poll when shutdown is requested from another thread.
-    #[cfg(target_os = "linux")]
+    /// Wakes the I/O loop out of its poll when shutdown is requested
+    /// from another thread.
     wake: EventFd,
 }
 
@@ -299,10 +174,9 @@ impl ServeState {
         Ok(ServeState {
             sessions: ShardedSessionStore::with_policy(
                 cfg.session_budget_bytes,
-                resolve_shards(cfg.shards),
-                resolve_store_policy(cfg.store_policy),
+                cfg.shards,
+                cfg.store_policy,
             ),
-            model_cache: cfg.model_cache,
             plans_amd: PlanCache::lazy(&amd_phenom_ii(), &opts),
             plans_intel: PlanCache::lazy(&intel_i7_2600k(), &opts),
             metrics: Metrics::new(),
@@ -310,7 +184,6 @@ impl ServeState {
             remote_models: Mutex::new(FxHashMap::default()),
             remote_model_cache_cap: cfg.remote_model_cache_cap.max(1),
             shutting_down: AtomicBool::new(false),
-            #[cfg(target_os = "linux")]
             wake: EventFd::new()?,
         })
     }
@@ -318,7 +191,6 @@ impl ServeState {
     /// Raise the shutdown flag and wake whatever is parked in a poll.
     pub(crate) fn request_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
         self.wake.signal();
     }
 
@@ -913,18 +785,14 @@ impl ServeState {
         }
     }
 
-    /// The session's current fitted model, via the same cache path a
-    /// local query uses (`with_model`'s session branch).
+    /// The session's current fitted model, from the version-checked
+    /// cache (refitting incrementally on a stale version), after trying
+    /// to pull the fit from a peer that may already hold it.
     fn current_model(&self, name: &str) -> Option<Arc<StatStackModel>> {
-        if self.model_cache {
-            self.try_pull_model(name);
-            let (model, hit) = self.sessions.model(name)?;
-            self.metrics.count_model_cache(hit);
-            Some(model)
-        } else {
-            self.sessions
-                .with_profile(name, |p| Arc::new(StatStackModel::from_profile(p)))
-        }
+        self.try_pull_model(name);
+        let (model, hit) = self.sessions.model(name)?;
+        self.metrics.count_model_cache(hit);
+        Some(model)
     }
 
     /// Before fitting a session model locally, try to fetch the fit
@@ -1057,38 +925,17 @@ impl ServeState {
     /// lock. On a stale version the shard refits once (incrementally,
     /// merging only the batches submitted since the last fit) and
     /// republishes, so N concurrent queries of a hot session do one fit,
-    /// not N. With `model_cache` off (the measurement baseline) every
-    /// query refits from scratch under the shard lock. Benchmark models
-    /// come from the plan cache's compute-once slot and are shared by all
-    /// queries.
+    /// not N. Benchmark models come from the plan cache's compute-once
+    /// slot and are shared by all queries.
     fn with_model(&self, target: &Target, f: impl FnOnce(&StatStackModel) -> Response) -> Response {
         match target {
-            Target::Session(name) => {
-                if self.model_cache {
-                    self.try_pull_model(name);
-                    match self.sessions.model(name) {
-                        None => Response::Error {
-                            code: ErrorCode::UnknownSession,
-                            message: format!("unknown session '{name}'"),
-                        },
-                        Some((model, hit)) => {
-                            self.metrics.count_model_cache(hit);
-                            f(&model)
-                        }
-                    }
-                } else {
-                    match self
-                        .sessions
-                        .with_profile(name, |p| f(&StatStackModel::from_profile(p)))
-                    {
-                        None => Response::Error {
-                            code: ErrorCode::UnknownSession,
-                            message: format!("unknown session '{name}'"),
-                        },
-                        Some(resp) => resp,
-                    }
-                }
-            }
+            Target::Session(name) => match self.current_model(name) {
+                None => Response::Error {
+                    code: ErrorCode::UnknownSession,
+                    message: format!("unknown session '{name}'"),
+                },
+                Some(model) => f(&model),
+            },
             Target::Benchmark(id) => f(self.plans_amd.model(*id)),
         }
     }
@@ -1133,21 +980,18 @@ impl ServeState {
                     };
                 }
                 let cfg = Self::machine_config(machine).analysis_config(delta);
-                let answer = if self.model_cache {
-                    // Plans need the profile and the model together, so
-                    // this runs under the shard lock — but still reuses
-                    // the cached fit (the expensive part).
-                    self.sessions
-                        .with_profile_and_model(name, |profile, model| {
-                            analyze_with_model(profile, model, &cfg)
-                        })
-                        .map(|(analysis, hit)| {
-                            self.metrics.count_model_cache(hit);
-                            analysis
-                        })
-                } else {
-                    self.sessions.with_profile(name, |p| analyze(p, &cfg))
-                };
+                // Plans need the profile and the model together, so this
+                // runs under the shard lock — but still reuses the cached
+                // fit (the expensive part).
+                let answer = self
+                    .sessions
+                    .with_profile_and_model(name, |profile, model| {
+                        analyze_with_model(profile, model, &cfg)
+                    })
+                    .map(|(analysis, hit)| {
+                        self.metrics.count_model_cache(hit);
+                        analysis
+                    });
                 let Some(analysis) = answer else {
                     return Response::Error {
                         code: ErrorCode::UnknownSession,
@@ -1585,19 +1429,13 @@ impl<'a> RunPlan<'a> {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServeState>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    io_mode: IoMode,
+    io_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The concrete I/O mode the server runs (never `Auto`).
-    pub fn io_mode(&self) -> IoMode {
-        self.io_mode
     }
 
     /// `true` once a shutdown has been requested (control message or
@@ -1619,17 +1457,11 @@ impl ServerHandle {
     }
 
     fn join_inner(&mut self) {
-        if let Some(h) = self.acceptor.take() {
+        if let Some(h) = self.io_thread.take() {
             // Wake the I/O loop out of its poll so it observes the flag
             // (a no-op nudge when shutdown was not requested: the loop
             // just re-checks and parks again).
-            #[cfg(target_os = "linux")]
             self.state.wake.signal();
-            // Without eventfd, fall back to poking the listener awake.
-            #[cfg(not(target_os = "linux"))]
-            if self.is_shutting_down() {
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
-            }
             h.join().expect("I/O thread panicked");
         }
     }
@@ -1637,7 +1469,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() && self.is_shutting_down() {
+        if self.io_thread.is_some() && self.is_shutting_down() {
             self.join_inner();
         }
     }
@@ -1669,21 +1501,14 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     } else {
         cfg.threads
     };
-    let io_mode = resolve_io_mode(cfg.io_mode);
     let loop_state = Arc::clone(&state);
-    let loop_cfg = cfg.clone();
-    let acceptor = std::thread::Builder::new()
+    let io_thread = std::thread::Builder::new()
         .name("repf-serve-io".into())
-        .spawn(move || match io_mode {
-            #[cfg(target_os = "linux")]
-            IoMode::Epoll => epoll_loop(listener, loop_state, loop_cfg, threads),
-            _ => accept_loop(listener, loop_state, loop_cfg, threads),
-        })?;
+        .spawn(move || epoll_loop(listener, loop_state, cfg, threads))?;
     Ok(ServerHandle {
         addr,
         state,
-        acceptor: Some(acceptor),
-        io_mode,
+        io_thread: Some(io_thread),
     })
 }
 
@@ -1708,347 +1533,20 @@ fn grow_backoff(b: Duration) -> Duration {
     (b * 2).min(ACCEPT_BACKOFF_MAX)
 }
 
-// --- threads mode ---
-
-fn accept_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, threads: usize) {
-    let pool = WorkerPool::new(threads, cfg.queue_depth);
-    let max_conns = resolve_max_conns(cfg.max_conns);
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let pool = Arc::new(pool);
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-
-    // On Linux the listener is polled alongside the shutdown eventfd, so
-    // a shutdown wakes the acceptor without the old trick of connecting
-    // to ourselves. Elsewhere the blocking accept is interrupted by that
-    // connect (see `join_inner`).
-    #[cfg(target_os = "linux")]
-    let poller = {
-        listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
-        let p = Poller::new().expect("epoll for acceptor");
-        p.add(listener.as_raw_fd(), EPOLLIN, 0)
-            .expect("register listener");
-        p.add(state.wake.fd(), EPOLLIN, 1).expect("register wake");
-        p
-    };
-
-    loop {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        #[cfg(target_os = "linux")]
-        {
-            let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-            match poller.wait(&mut events, -1) {
-                Ok(n) => {
-                    for ev in &events[..n] {
-                        if ev.data == 1 {
-                            state.wake.drain();
-                        }
-                    }
-                }
-                Err(_) => continue,
-            }
-            if state.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            // Accept everything pending, then park again.
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        backoff = ACCEPT_BACKOFF_MIN;
-                        admit_threaded(stream, &state, &pool, &cfg, max_conns, &mut conns);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(backoff);
-                        backoff = grow_backoff(backoff);
-                        break;
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let (stream, _peer) = match listener.accept() {
-                Ok(x) => x,
-                Err(_) => {
-                    state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = grow_backoff(backoff);
-                    continue;
-                }
-            };
-            backoff = ACCEPT_BACKOFF_MIN;
-            if state.shutting_down.load(Ordering::SeqCst) {
-                break; // the wake-up connection from `join_inner`
-            }
-            admit_threaded(stream, &state, &pool, &cfg, max_conns, &mut conns);
-        }
-        // Reap finished connection threads so the vec stays small on
-        // long-running servers.
-        conns.retain(|h| !h.is_finished());
-    }
-    // Drain: join live connections (their reads time out on the poll
-    // interval and observe the flag), then the worker queue.
-    for h in conns {
-        let _ = h.join();
-    }
-    if let Ok(pool) = Arc::try_unwrap(pool) {
-        pool.shutdown();
-    }
-}
-
-/// Admit one accepted socket in threads mode: shed over the cap, else
-/// count it open and hand it a connection thread.
-fn admit_threaded(
-    stream: TcpStream,
-    state: &Arc<ServeState>,
-    pool: &Arc<WorkerPool>,
-    cfg: &ServeConfig,
-    max_conns: usize,
-    conns: &mut Vec<std::thread::JoinHandle<()>>,
-) {
-    if state.metrics.open_conns.load(Ordering::Relaxed) >= max_conns as u64 {
-        shed_connection(stream, state);
-        return;
-    }
-    state.metrics.connections.fetch_add(1, Ordering::Relaxed);
-    state.metrics.open_conns.fetch_add(1, Ordering::Relaxed);
-    let st = Arc::clone(state);
-    let po = Arc::clone(pool);
-    let c = cfg.clone();
-    conns.push(std::thread::spawn(move || {
-        // RAII so a panicking connection thread still releases its slot
-        // in the gauge; leaked slots would eventually make
-        // `admit_threaded` shed every new connection as Busy.
-        struct OpenSlot(Arc<ServeState>);
-        impl Drop for OpenSlot {
-            fn drop(&mut self) {
-                self.0.metrics.open_conns.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        let slot = OpenSlot(st);
-        let _ = serve_connection(stream, Arc::clone(&slot.0), po, c);
-    }));
-}
-
-/// Poll interval for the blocking frame reads — bounds how long a
-/// connection takes to notice a shutdown, independent of `idle_timeout`.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// What one polling frame read produced.
-enum ReadOutcome {
-    /// A complete frame body (version + type + payload).
-    Frame(Vec<u8>),
-    /// Clean EOF at a frame boundary.
-    Eof,
-    /// No frame started within the idle timeout, or a started frame
-    /// stalled past it (slow-loris guard), or shutdown was requested.
-    Stop,
-    /// The length prefix violated the protocol.
-    Proto(proto::ProtoError),
-    /// Transport failure.
-    Io,
-}
-
-/// Read one frame with `READ_POLL`-granularity timeouts, so the
-/// connection notices shutdown promptly, never desynchronizes on a
-/// mid-frame timeout, and drops peers that stall a frame for longer than
-/// `idle_timeout`.
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    state: &ServeState,
-    idle_timeout: Duration,
-) -> ReadOutcome {
-    let mut buf: Vec<u8> = Vec::new(); // header, then body
-    let mut need = 4usize; // length prefix first
-    let mut body_len: Option<usize> = None;
-    let deadline = Instant::now() + idle_timeout;
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if state.shutting_down.load(Ordering::SeqCst) && body_len.is_none() && buf.is_empty() {
-            return ReadOutcome::Stop;
-        }
-        if Instant::now() >= deadline {
-            return ReadOutcome::Stop;
-        }
-        let want = (need - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                // EOF: clean only on a frame boundary.
-                return if buf.is_empty() {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Io
-                };
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.len() == need {
-                    match body_len {
-                        None => {
-                            let len =
-                                u32::from_le_bytes(buf[..4].try_into().unwrap());
-                            if len < 2 {
-                                return ReadOutcome::Proto(proto::ProtoError::TooShort);
-                            }
-                            if len > proto::MAX_FRAME_BYTES {
-                                return ReadOutcome::Proto(proto::ProtoError::Oversized(len));
-                            }
-                            body_len = Some(len as usize);
-                            need = len as usize;
-                            buf.clear();
-                        }
-                        Some(_) => return ReadOutcome::Frame(buf),
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Io,
-        }
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    state: Arc<ServeState>,
-    pool: Arc<WorkerPool>,
-    cfg: ServeConfig,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(cfg.write_timeout))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    // Once a cluster peer-protocol frame is seen, the connection is a
-    // pooled node-to-node link: it sits idle between forwards by
-    // design, so the idle timeout stretches to effectively-forever
-    // (shutdown still interrupts the poll loop).
-    let mut is_peer = false;
-    loop {
-        let idle = if is_peer {
-            Duration::from_secs(24 * 3600)
-        } else {
-            cfg.idle_timeout
-        };
-        match read_frame_polling(&mut reader, &state, idle) {
-            ReadOutcome::Eof | ReadOutcome::Stop | ReadOutcome::Io => return Ok(()),
-            ReadOutcome::Frame(body) => {
-                match Request::decode(&body) {
-                    Ok(Request::Shutdown) => {
-                        // Handled inline: must work even when the queue is
-                        // saturated — it is the pressure-release valve.
-                        // `handle` raises the flag and signals the wake
-                        // eventfd, so the acceptor unparks by itself.
-                        let resp = state.handle(Request::Shutdown);
-                        send(&mut writer, &resp)?;
-                        #[cfg(not(target_os = "linux"))]
-                        if let Ok(addr) = writer.local_addr() {
-                            let _ =
-                                TcpStream::connect_timeout(&addr, Duration::from_millis(500));
-                        }
-                        return Ok(());
-                    }
-                    Ok(req) => {
-                        is_peer = is_peer || req.is_peer_kind();
-                        let resp = dispatch(&state, &pool, req);
-                        send(&mut writer, &resp)?;
-                    }
-                    Err(e) => {
-                        // Payload decode failure: frame boundaries are
-                        // still sound, so answer and keep the connection.
-                        state.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        send(
-                            &mut writer,
-                            &Response::Error {
-                                code: ErrorCode::Malformed,
-                                message: e.to_string(),
-                            },
-                        )?;
-                    }
-                }
-            }
-            ReadOutcome::Proto(e) => {
-                // The stream is unsynchronized: answer, then drop it.
-                state.metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    },
-                );
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Run `req` on the worker pool, answering `Busy` when the bounded queue
-/// is full. The connection thread blocks on the reply channel — request
-/// order per connection is preserved.
-fn dispatch(state: &Arc<ServeState>, pool: &WorkerPool, req: Request) -> Response {
-    let (tx, rx) = mpsc::channel::<Response>();
-    let st = Arc::clone(state);
-    let job = Box::new(move || {
-        let resp = st.handle(req);
-        let _ = tx.send(resp);
-    });
-    match pool.try_submit(job) {
-        Ok(()) => match rx.recv() {
-            Ok(resp) => {
-                if matches!(resp, Response::Error { .. }) {
-                    state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                resp
-            }
-            Err(_) => Response::Error {
-                code: ErrorCode::Internal,
-                message: "worker dropped the request".into(),
-            },
-        },
-        Err(SubmitError::Busy) | Err(SubmitError::Closed) => {
-            state.metrics.busy.fetch_add(1, Ordering::Relaxed);
-            Response::Busy
-        }
-    }
-}
-
-fn send(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-    proto::write_frame(w, &resp.encode_reply())
-}
-
-// --- epoll mode ---
-
 /// Most requests in one run, and most frames in one worker job.
-#[cfg(target_os = "linux")]
 const DISPATCH_CHUNK_MAX: usize = 32;
 
 /// One run's replies, in request order, tagged with its connection.
-#[cfg(target_os = "linux")]
 type Completion = (u64, Vec<Response>);
 
 /// Completed work handed from the worker pool back to the I/O thread:
 /// one entry per run behind a mutex, with an eventfd wake so the I/O
 /// thread learns about completions while parked.
-#[cfg(target_os = "linux")]
 struct CompletionQueue {
     done: Mutex<Vec<Completion>>,
     ready: EventFd,
 }
 
-#[cfg(target_os = "linux")]
 impl CompletionQueue {
     fn new() -> std::io::Result<Self> {
         Ok(CompletionQueue {
@@ -2088,31 +1586,22 @@ impl CompletionQueue {
 }
 
 /// Epoll tokens 0–2 are the loop's own fds; connections start at 3.
-#[cfg(target_os = "linux")]
 const TOK_LISTENER: u64 = 0;
-#[cfg(target_os = "linux")]
 const TOK_WAKE: u64 = 1;
-#[cfg(target_os = "linux")]
 const TOK_COMPLETION: u64 = 2;
-#[cfg(target_os = "linux")]
 const TOK_FIRST_CONN: u64 = 3;
 
 /// Floor applied when `fire_timers` re-arms a popped-but-live entry: a
 /// deadline at or before the drain loop's fixed `now` would pop right
 /// back out and livelock the I/O thread, so eviction is allowed to run
 /// this much late instead.
-#[cfg(target_os = "linux")]
 const TIMER_REARM_GRACE: Duration = Duration::from_millis(10);
 
 /// The readiness-polled event loop: every socket nonblocking on one
 /// thread, compute on the worker pool, completions back over
-/// [`CompletionQueue`]. See the module docs for the degradation rules;
-/// the response bytes per request are identical to the threaded path
-/// because both call [`ServeState::handle_run`].
-#[cfg(target_os = "linux")]
+/// [`CompletionQueue`]. See the module docs for the degradation rules.
 fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, threads: usize) {
     let pool = WorkerPool::new(threads, cfg.queue_depth);
-    let max_conns = resolve_max_conns(cfg.max_conns);
     let poller = Poller::new().expect("epoll instance");
     listener.set_nonblocking(true).expect("listener nonblocking");
     poller
@@ -2136,7 +1625,6 @@ fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, t
         conns: HashMap::new(),
         timers: BinaryHeap::new(),
         next_token: TOK_FIRST_CONN,
-        max_conns,
         accepting: true,
         accept_backoff: ACCEPT_BACKOFF_MIN,
         accept_resume: None,
@@ -2151,13 +1639,11 @@ fn epoll_loop(listener: TcpListener, state: Arc<ServeState>, cfg: ServeConfig, t
 }
 
 /// Deadline-heap entry: earliest first.
-#[cfg(target_os = "linux")]
 type TimerEntry = std::cmp::Reverse<(Instant, u64)>;
 
 /// Readiness and completions only *collect* work during the event
 /// sweep; decode, pool dispatch and socket flushes run once per poll
 /// iteration in [`finish_batch`](Self::finish_batch).
-#[cfg(target_os = "linux")]
 struct EpollLoop {
     state: Arc<ServeState>,
     cfg: ServeConfig,
@@ -2171,7 +1657,6 @@ struct EpollLoop {
     /// so stale ones are harmless.
     timers: BinaryHeap<TimerEntry>,
     next_token: u64,
-    max_conns: usize,
     accepting: bool,
     accept_backoff: Duration,
     /// When accept errors paused the listener, the instant to resume.
@@ -2191,7 +1676,6 @@ struct EpollLoop {
     pool_full: bool,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollLoop {
     fn run(&mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
@@ -2269,7 +1753,7 @@ impl EpollLoop {
             };
             if c.expired(now) {
                 // Idle / slow-loris / stalled-write eviction: drop
-                // silently, exactly like the threaded path's Stop.
+                // silently.
                 self.close_conn(token);
             } else if let Some(next) = c.next_deadline() {
                 // `next_deadline` mirrors `expired`, so a live
@@ -2307,7 +1791,7 @@ impl EpollLoop {
                     if self.draining {
                         continue; // raced a shutdown: refuse quietly
                     }
-                    if self.conns.len() >= self.max_conns {
+                    if self.conns.len() >= self.cfg.max_conns {
                         shed_connection(stream, &self.state);
                         continue;
                     }
@@ -2398,8 +1882,7 @@ impl EpollLoop {
                 Ok(ConnRead::Open) => {}
                 Ok(ConnRead::PeerClosed) => {
                     if conn.acc.mid_frame() {
-                        // EOF inside a frame: transport failure, like the
-                        // threaded path's Io outcome.
+                        // EOF inside a frame: transport failure.
                         self.close_conn(token);
                         return;
                     }
@@ -2413,8 +1896,7 @@ impl EpollLoop {
                     // Framing violation: the stream can never
                     // resynchronize, so stop reading — but the complete
                     // frames that arrived coalesced ahead of the bad
-                    // prefix are still answered first (the threaded
-                    // path would have served them before hitting it).
+                    // prefix are still answered first, in arrival order.
                     // `process_pending` emits the Malformed error and
                     // hangs up once `pending` drains.
                     self.state.metrics.malformed.fetch_add(1, Ordering::Relaxed);
@@ -2442,8 +1924,7 @@ impl EpollLoop {
         }
         if self.draining && !conn.in_flight && conn.out.is_empty() {
             // Drain closes everything that has nothing in flight; queued
-            // but undispatched frames are abandoned, exactly like the
-            // threaded path refusing to start a new read after the flag.
+            // but undispatched frames are abandoned.
             self.close_conn(token);
             return;
         }
@@ -2500,8 +1981,7 @@ impl EpollLoop {
                 conn.out.push_frame(resp.encode_reply());
             }
             // The replies open the wait for the next request: restart
-            // the idle clock like the threaded path re-entering
-            // `read_frame_polling`.
+            // the idle clock.
             conn.touch_read(now);
             self.touched.push(token);
         }

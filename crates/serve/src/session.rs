@@ -30,7 +30,7 @@
 //!
 //! Under either policy nothing is evicted or refused while the store
 //! fits its budget — replay's oracle never evicts, so per-policy replay
-//! digests stay node-count- and io-mode-invariant.
+//! digests stay node-count-invariant.
 //!
 //! Model caching: every submit bumps the session's version; a query
 //! either reuses the cached [`Arc<StatStackModel>`] (version match — no

@@ -617,7 +617,7 @@ fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
     let b = start(ServeConfig {
         session_budget_bytes: 2_000,
         shards: 1,
-        store_policy: Some(StorePolicy::Lru),
+        store_policy: StorePolicy::Lru,
         ..ServeConfig::default()
     })
     .expect("start b");

@@ -1,18 +1,13 @@
-//! Event-loop integration tests: the readiness-polled `--io-mode epoll`
-//! path against real loopback sockets — slow-loris eviction, pipelined
-//! requests with server-side partial writes, bit-identity against
-//! `--io-mode threads` under idle-connection load, replay digests, and
-//! the `max_conns` shed path.
-//!
-//! Everything here is Linux-only at runtime via [`IoMode::Epoll`]; on
-//! other platforms `resolve_io_mode` falls the servers back to threads
-//! and the comparisons still hold trivially.
+//! Event-loop integration tests: the daemon's readiness-polled epoll
+//! loop against real loopback sockets — slow-loris eviction, pipelined
+//! requests with server-side partial writes, byte-identical answers
+//! with and without an idle-connection herd, and the `max_conns` shed
+//! path.
 
 use repf_sampling::{Profile, ReuseSample, StrideSample};
 use repf_serve::proto::{self, Request, Response};
 use repf_serve::{
-    generate_trace, replay_spawned, start, Client, GenConfig, IoMode, MachineId, ReplayConfig,
-    Ring, ServeConfig, Target, DEFAULT_RING_SEED, DEFAULT_VNODES,
+    start, Client, MachineId, Ring, ServeConfig, Target, DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
 use repf_statstack::StatStackModel;
 use repf_trace::{AccessKind, Pc};
@@ -22,11 +17,10 @@ use std::time::{Duration, Instant};
 
 const SIZES: [u64; 4] = [32 << 10, 256 << 10, 1 << 20, 8 << 20];
 
-fn epoll_config() -> ServeConfig {
+fn test_config() -> ServeConfig {
     ServeConfig {
         threads: 2,
         queue_depth: 32,
-        io_mode: IoMode::Epoll,
         idle_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     }
@@ -97,7 +91,7 @@ fn next_reply(s: &mut TcpStream) -> Response {
 fn slow_loris_partial_frames_are_evicted() {
     let handle = start(ServeConfig {
         idle_timeout: Duration::from_millis(400),
-        ..epoll_config()
+        ..test_config()
     })
     .expect("server starts");
     let addr = handle.addr();
@@ -173,7 +167,7 @@ fn pipelined_queries_survive_partial_writes_in_order() {
     let sizes: Vec<u64> = (0..NSIZES).map(|i| 4096 + i * 640).collect();
     let want: Vec<f64> = sizes.iter().map(|&b| model.miss_ratio_bytes(b)).collect();
 
-    let handle = start(epoll_config()).expect("server starts");
+    let handle = start(test_config()).expect("server starts");
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     raw.set_nodelay(true).unwrap();
@@ -236,7 +230,7 @@ fn pipelined_queries_survive_partial_writes_in_order() {
 fn pipelined_runs_answer_in_order_around_a_bad_frame() {
     let handle = start(ServeConfig {
         threads: 4,
-        ..epoll_config()
+        ..test_config()
     })
     .expect("server starts");
     // Small enough that all five frames land in one read.
@@ -319,7 +313,7 @@ fn lapsed_read_deadline_with_buffered_output_does_not_stall_the_loop() {
     const NSIZES: u64 = 20_000;
     let handle = start(ServeConfig {
         idle_timeout: Duration::from_millis(300),
-        ..epoll_config()
+        ..test_config()
     })
     .expect("server starts");
 
@@ -373,7 +367,7 @@ fn lapsed_read_deadline_with_buffered_output_does_not_stall_the_loop() {
 /// and closes once everything owed has been delivered.
 #[test]
 fn half_closed_connection_still_receives_its_response() {
-    let handle = start(epoll_config()).expect("server starts");
+    let handle = start(test_config()).expect("server starts");
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     proto::write_frame(&mut raw, &Request::Ping.encode()).unwrap();
@@ -390,11 +384,11 @@ fn half_closed_connection_still_receives_its_response() {
 }
 
 /// Complete frames that arrive coalesced ahead of a bad length prefix
-/// are answered before the Malformed error — the order the threaded
-/// path produces for a pipelined client that ends with garbage.
+/// are answered before the Malformed error, in order, for a pipelined
+/// client that ends with garbage.
 #[test]
 fn frames_ahead_of_a_bad_prefix_are_answered_before_malformed() {
-    let handle = start(epoll_config()).expect("server starts");
+    let handle = start(test_config()).expect("server starts");
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
@@ -433,23 +427,19 @@ fn frames_ahead_of_a_bad_prefix_are_answered_before_malformed() {
 }
 
 /// 256 idle connections parked on the event loop while an active client
-/// runs the full request mix — and every response byte matches a
-/// `--io-mode threads` server given the identical sequence. Also pins
+/// runs the full request mix — and every response byte matches a second
+/// daemon, with no idle herd, given the identical sequence. Also pins
 /// the `connections.open` gauge.
 #[test]
 fn idle_connections_do_not_perturb_active_traffic() {
     const IDLE: usize = 256;
     let profile = synthetic_profile();
-    let epoll = start(epoll_config()).expect("epoll server");
-    let threads = start(ServeConfig {
-        io_mode: IoMode::Threads,
-        ..epoll_config()
-    })
-    .expect("threads server");
+    let herd = start(test_config()).expect("herd server");
+    let quiet = start(test_config()).expect("quiet server");
 
-    // Park idle connections on the epoll server only.
+    // Park idle connections on the herd server only.
     let parked: Vec<TcpStream> = (0..IDLE)
-        .map(|_| TcpStream::connect(epoll.addr()).unwrap())
+        .map(|_| TcpStream::connect(herd.addr()).unwrap())
         .collect();
 
     // The same deterministic sequence against both servers, compared as
@@ -484,22 +474,22 @@ fn idle_connections_do_not_perturb_active_traffic() {
             sizes_bytes: SIZES.to_vec(),
         },
     ];
-    let mut ce = Client::connect(epoll.addr()).unwrap();
-    let mut ct = Client::connect(threads.addr()).unwrap();
-    ce.set_timeout(Some(Duration::from_secs(30))).unwrap();
-    ct.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut ch = Client::connect(herd.addr()).unwrap();
+    let mut cq = Client::connect(quiet.addr()).unwrap();
+    ch.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    cq.set_timeout(Some(Duration::from_secs(30))).unwrap();
     for (i, req) in requests.iter().enumerate() {
-        let re = ce.call_any(req).expect("epoll response");
-        let rt = ct.call_any(req).expect("threads response");
+        let rh = ch.call_any(req).expect("herd response");
+        let rq = cq.call_any(req).expect("quiet response");
         assert_eq!(
-            re.encode(),
-            rt.encode(),
-            "request {i}: responses must be byte-identical across io modes"
+            rh.encode(),
+            rq.encode(),
+            "request {i}: an idle herd must not change a response byte"
         );
     }
 
     // The gauge sees the parked herd plus the active client.
-    let stats = ce.stats().unwrap();
+    let stats = ch.stats().unwrap();
     assert_eq!(stat(&stats, "connections.open"), (IDLE + 1) as f64);
     assert_eq!(stat(&stats, "connections"), (IDLE + 1) as f64);
     assert_eq!(stat(&stats, "connections.shed"), 0.0);
@@ -508,7 +498,7 @@ fn idle_connections_do_not_perturb_active_traffic() {
     drop(parked);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let open = stat(&ce.stats().unwrap(), "connections.open");
+        let open = stat(&ch.stats().unwrap(), "connections.open");
         if open == 1.0 {
             break;
         }
@@ -519,10 +509,10 @@ fn idle_connections_do_not_perturb_active_traffic() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    ce.shutdown_server().unwrap();
-    epoll.join();
-    ct.shutdown_server().unwrap();
-    threads.join();
+    ch.shutdown_server().unwrap();
+    herd.join();
+    cq.shutdown_server().unwrap();
+    quiet.join();
 }
 
 /// A full pool answers every frame of a run `Busy`, in order. The one
@@ -534,7 +524,7 @@ fn full_pool_answers_every_frame_of_a_run_busy() {
     let handle = start(ServeConfig {
         threads: 1,
         queue_depth: 1,
-        ..epoll_config()
+        ..test_config()
     })
     .expect("server starts");
     let addr = handle.addr();
@@ -585,74 +575,44 @@ fn full_pool_answers_every_frame_of_a_run_busy() {
     handle.join();
 }
 
-/// The replay digest is invariant across node counts and io modes: the
-/// event loop changes scheduling and write grouping, never bytes.
-#[test]
-fn replay_digest_matches_across_modes_and_node_counts() {
-    let trace = generate_trace(&GenConfig {
-        sessions: 2,
-        rounds: 2,
-        samples_per_batch: 30,
-        ..GenConfig::default()
-    });
-    let rcfg = ReplayConfig::default();
-    let mk = |mode: IoMode| ServeConfig {
-        io_mode: mode,
-        ..epoll_config()
-    };
-
-    let e1 = replay_spawned(1, &trace, &mk(IoMode::Epoll), &rcfg).expect("epoll n=1");
-    let e3 = replay_spawned(3, &trace, &mk(IoMode::Epoll), &rcfg).expect("epoll n=3");
-    let t1 = replay_spawned(1, &trace, &mk(IoMode::Threads), &rcfg).expect("threads n=1");
-
-    assert!(e1.is_clean(), "epoll n=1 diverged: {:?}", e1.divergences);
-    assert!(e3.is_clean(), "epoll n=3 diverged: {:?}", e3.divergences);
-    assert!(t1.is_clean(), "threads n=1 diverged: {:?}", t1.divergences);
-    assert_eq!(e1.digest, e3.digest, "digest must not depend on node count");
-    assert_eq!(e1.digest, t1.digest, "digest must not depend on io mode");
-}
-
 /// Accepts past `max_conns` are shed with a Busy frame and counted,
-/// without disturbing admitted connections — in both io modes.
+/// without disturbing admitted connections.
 #[test]
 fn max_conns_cap_sheds_with_busy() {
-    for mode in [IoMode::Epoll, IoMode::Threads] {
-        let handle = start(ServeConfig {
-            max_conns: 2,
-            io_mode: mode,
-            ..epoll_config()
-        })
-        .expect("server starts");
-        let addr = handle.addr();
+    let handle = start(ServeConfig {
+        max_conns: 2,
+        ..test_config()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
 
-        let mut c1 = Client::connect(addr).unwrap();
-        let mut c2 = Client::connect(addr).unwrap();
-        c1.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        c2.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        // Pings guarantee both connections are admitted (not just queued
-        // in the accept backlog) before the third arrives.
-        c1.ping().unwrap();
-        c2.ping().unwrap();
+    let mut c1 = Client::connect(addr).unwrap();
+    let mut c2 = Client::connect(addr).unwrap();
+    c1.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    c2.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    // Pings guarantee both connections are admitted (not just queued in
+    // the accept backlog) before the third arrives.
+    c1.ping().unwrap();
+    c2.ping().unwrap();
 
-        let mut third = TcpStream::connect(addr).unwrap();
-        third
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let body = proto::read_frame(&mut third)
-            .unwrap()
-            .expect("shed connections get a Busy frame, mode {mode}");
-        assert_eq!(Response::decode(&body).unwrap(), Response::Busy);
-        let mut probe = [0u8; 1];
-        assert_eq!(third.read(&mut probe).unwrap_or(0), 0, "then EOF");
+    let mut third = TcpStream::connect(addr).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let body = proto::read_frame(&mut third)
+        .unwrap()
+        .expect("shed connections get a Busy frame");
+    assert_eq!(Response::decode(&body).unwrap(), Response::Busy);
+    let mut probe = [0u8; 1];
+    assert_eq!(third.read(&mut probe).unwrap_or(0), 0, "then EOF");
 
-        // Admitted connections are untouched; the books balance.
-        c2.ping().unwrap();
-        let stats = c1.stats().unwrap();
-        assert_eq!(stat(&stats, "connections.shed"), 1.0, "mode {mode}");
-        assert_eq!(stat(&stats, "connections.open"), 2.0, "mode {mode}");
-        assert_eq!(stat(&stats, "connections"), 2.0, "shed conns not counted");
+    // Admitted connections are untouched; the books balance.
+    c2.ping().unwrap();
+    let stats = c1.stats().unwrap();
+    assert_eq!(stat(&stats, "connections.shed"), 1.0);
+    assert_eq!(stat(&stats, "connections.open"), 2.0);
+    assert_eq!(stat(&stats, "connections"), 2.0, "shed conns not counted");
 
-        c1.shutdown_server().unwrap();
-        handle.join();
-    }
+    c1.shutdown_server().unwrap();
+    handle.join();
 }

@@ -3,14 +3,14 @@
 //! server must show up in the intended-time latency tail, not vanish
 //! into a politely waiting closed-loop client.
 
-use repf_sampling::ReuseSample;
-use repf_serve::loadgen::session_name;
-use repf_serve::proto::SampleBatch;
+use repf_serve::proto;
 use repf_serve::{
-    generate_ops, request_for, run_load, start, Client, IoMode, LoadConfig, OpKind, OpMix,
-    ReplayRng, ServeConfig, ZipfGen,
+    generate_ops, request_for, run_load, start, Client, LoadConfig, OpKind, OpMix, ReplayRng,
+    ServeConfig, ZipfGen,
 };
-use repf_trace::{AccessKind, Pc};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 #[test]
@@ -139,54 +139,68 @@ fn zipf_frequency_ranks_are_monotone() {
     }
 }
 
-/// A fat profile so every query against it (refit per query with the
-/// model cache off) costs real worker time — the deterministic stall.
-fn fat_batch(samples: u64) -> SampleBatch {
-    let mut rng = ReplayRng::new(0xFA7);
-    let mut b = SampleBatch {
-        total_refs: 5_000_000,
-        sample_period: 1009,
-        line_bytes: 64,
-        ..SampleBatch::default()
-    };
-    for i in 0..samples {
-        let pc = [100u32, 200, 300][rng.below(3) as usize];
-        b.reuse.push(ReuseSample {
-            start_pc: Pc(pc),
-            start_kind: AccessKind::Load,
-            end_pc: Pc(pc),
-            end_kind: AccessKind::Load,
-            distance: 1 + rng.below(800_000),
-            start_index: i * 4000 + rng.below(1000),
-        });
-    }
-    b
+/// A relay in front of `daemon` that holds each request frame for
+/// `delay` before passing it on; replies pass straight back. Behind it
+/// every request costs at least `delay` on any CPU, with no knob in the
+/// daemon. The acceptor stops at the first connection it takes after
+/// the daemon is gone, then joins its relay threads; join the returned
+/// handle after poking it.
+fn slow_relay(daemon: SocketAddr, delay: Duration) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("relay binds");
+    let addr = listener.local_addr().unwrap();
+    let acceptor = std::thread::spawn(move || {
+        let mut relays = Vec::new();
+        for client in listener.incoming() {
+            let Ok(client) = client else { break };
+            let Ok(upstream) = TcpStream::connect(daemon) else {
+                break;
+            };
+            let (mut from_client, mut to_daemon) =
+                (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+            relays.push(std::thread::spawn(move || {
+                while let Ok(Some(body)) = proto::read_frame(&mut from_client) {
+                    std::thread::sleep(delay);
+                    let len = u32::try_from(body.len()).expect("read_frame bounds the length");
+                    let mut frame = len.to_le_bytes().to_vec();
+                    frame.extend_from_slice(&body);
+                    if to_daemon.write_all(&frame).is_err() {
+                        break;
+                    }
+                }
+                let _ = to_daemon.shutdown(Shutdown::Write);
+            }));
+            let (mut from_daemon, mut to_client) = (upstream, client);
+            relays.push(std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_daemon, &mut to_client);
+                let _ = to_client.shutdown(Shutdown::Write);
+            }));
+        }
+        for relay in relays {
+            relay.join().expect("relay thread");
+        }
+    });
+    (addr, acceptor)
 }
 
-/// Coordinated-omission regression: one worker thread, refit-per-query
-/// sessions with fat profiles, and a `pipeline: 1` driver — a classic
-/// closed-loop client. The server falls behind the open-loop schedule,
-/// the driver's sends slip later and later, and each send still
-/// completes quickly once it finally happens. Latency measured from the
-/// *actual* send (what a CO-blind harness reports) therefore stays
-/// small, while latency from the *intended* start — which the harness
-/// reports as its headline — keeps charging for the queue delay. The
-/// p99 gap between the two IS the coordinated omission.
+/// Coordinated-omission regression: a daemon behind a relay that holds
+/// every request 2 ms — four times the 500 us arrival spacing — and a
+/// `pipeline: 1` driver, a classic closed-loop client. The server falls
+/// behind the open-loop schedule, the driver's sends slip later and
+/// later, and each send still completes quickly once it finally
+/// happens. Latency measured from the *actual* send (what a CO-blind
+/// harness reports) therefore stays small, while latency from the
+/// *intended* start — which the harness reports as its headline — keeps
+/// charging for the queue delay. The p99 gap between the two IS the
+/// coordinated omission.
 #[test]
 fn stalled_server_inflates_intended_p99_far_beyond_service_p99() {
-    let handle = start(ServeConfig {
-        threads: 1,
-        queue_depth: 256,
-        model_cache: false, // every query refits: deterministic slowness
-        io_mode: IoMode::Epoll,
-        ..ServeConfig::default()
-    })
-    .expect("server starts");
-    let addr = handle.addr().to_string();
+    let handle = start(ServeConfig::default()).expect("server starts");
+    let (relay, acceptor) = slow_relay(handle.addr(), Duration::from_millis(2));
+    let addr = relay.to_string();
 
     let cfg = LoadConfig {
         seed: 0xC0_0111,
-        mix: OpMix::Scan, // 16-point pcMRC sweeps: the expensive path
+        mix: OpMix::Scan, // 16-point pcMRC sweeps
         rate: 2000.0,
         duration: Duration::from_millis(300),
         conns: 1,
@@ -197,25 +211,16 @@ fn stalled_server_inflates_intended_p99_far_beyond_service_p99() {
         ..LoadConfig::default()
     };
 
-    // Fatten the sessions before the run so each refit is slow: the
-    // per-query cost has to dwarf the 500 us arrival spacing on fast
-    // hardware, or the server never falls behind and there is no
-    // coordinated omission to detect.
-    {
-        let mut c = Client::connect(&addr).expect("connect");
-        c.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        for s in 0..cfg.sessions {
-            c.submit_batch(&session_name(s), fat_batch(20_000))
-                .expect("fat preload");
-        }
-    }
-
     let report = run_load(std::slice::from_ref(&addr), &cfg).expect("load run");
     assert_eq!(report.errors, 0, "no protocol errors under stall");
     assert!(report.completed > 50, "enough completions to quantile");
 
     let intended_p99 = report.intended.quantile_us(0.99);
     let service_p99 = report.service.quantile_us(0.99);
+    eprintln!(
+        "{} ops: intended p99 {intended_p99} us, service p99 {service_p99} us, max send lag {} us",
+        report.completed, report.max_send_lag_us
+    );
     assert!(
         intended_p99 >= 3.0 * service_p99.max(1.0),
         "intended p99 ({intended_p99} us) must dwarf service p99 \
@@ -240,7 +245,9 @@ fn stalled_server_inflates_intended_p99_far_beyond_service_p99() {
         "intended accounting leads the report"
     );
 
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(handle.addr()).expect("connect");
     c.shutdown_server().expect("shutdown");
     handle.join();
+    let _ = TcpStream::connect(relay);
+    acceptor.join().expect("relay acceptor exits");
 }

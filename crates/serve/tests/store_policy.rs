@@ -2,13 +2,13 @@
 //! by one-shot churn submits (the workload `repf load --mix scan-churn`
 //! generates), the W-TinyLFU store must keep more of the hot working
 //! set alive than plain LRU — and replay digests must stay bit-identical
-//! across node counts and io modes *per policy*, because admission only
-//! ever acts under byte pressure and replay never creates any.
+//! across node counts *per policy*, because admission only ever acts
+//! under byte pressure and replay never creates any.
 
 use repf_sampling::ReuseSample;
 use repf_serve::{
-    generate_trace, replay_spawned, GenConfig, IoMode, ReplayConfig, ReplayRng, SampleBatch,
-    ServeConfig, ShardedSessionStore, StorePolicy, ZipfGen,
+    generate_trace, replay_spawned, GenConfig, ReplayConfig, ReplayRng, SampleBatch, ServeConfig,
+    ShardedSessionStore, StorePolicy, ZipfGen,
 };
 use repf_trace::{AccessKind, Pc};
 use std::time::Duration;
@@ -122,23 +122,21 @@ fn tinylfu_beats_lru_hit_ratio_under_zipf_with_one_shot_churn() {
     );
 }
 
-fn cfg(policy: StorePolicy, io_mode: IoMode) -> ServeConfig {
+fn cfg(policy: StorePolicy) -> ServeConfig {
     ServeConfig {
         threads: 2,
-        store_policy: Some(policy),
-        io_mode,
+        store_policy: policy,
         idle_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     }
 }
 
-/// Replay digests are invariant under node count and io mode for each
-/// policy — and across policies too: the replay trace fits the default
-/// budget, admission and eviction never fire, so the policies are
-/// behaviorally identical exactly as the store's replay-safety
-/// invariant promises.
+/// Replay digests are invariant under node count for each policy — and
+/// across policies too: the replay trace fits the default budget,
+/// admission and eviction never fire, so the policies are behaviorally
+/// identical exactly as the store's replay-safety invariant promises.
 #[test]
-fn replay_digest_is_per_policy_invariant_across_nodes_and_io_modes() {
+fn replay_digest_is_per_policy_invariant_across_nodes() {
     let trace = generate_trace(&GenConfig {
         seed: 0x0D1_6E57,
         sessions: 5,
@@ -150,9 +148,8 @@ fn replay_digest_is_per_policy_invariant_across_nodes_and_io_modes() {
     let mut digests = Vec::new();
     for policy in StorePolicy::ALL {
         let runs = [
-            ("n=1 epoll", replay_spawned(1, &trace, &cfg(policy, IoMode::Epoll), &rcfg)),
-            ("n=3 epoll", replay_spawned(3, &trace, &cfg(policy, IoMode::Epoll), &rcfg)),
-            ("n=1 threads", replay_spawned(1, &trace, &cfg(policy, IoMode::Threads), &rcfg)),
+            ("n=1", replay_spawned(1, &trace, &cfg(policy), &rcfg)),
+            ("n=3", replay_spawned(3, &trace, &cfg(policy), &rcfg)),
         ];
         let mut first = None;
         for (label, run) in runs {
@@ -163,7 +160,7 @@ fn replay_digest_is_per_policy_invariant_across_nodes_and_io_modes() {
                 None => first = Some(r.digest),
                 Some(d) => assert_eq!(
                     d, r.digest,
-                    "{policy} {label}: digest must not depend on node count or io mode"
+                    "{policy} {label}: digest must not depend on node count"
                 ),
             }
         }

@@ -28,9 +28,9 @@ use repf::metrics::weighted_speedup;
 use repf::sampling::{Sampler, SamplerConfig};
 use repf::serve::{
     apply_membership, generate_trace, replay_against, replay_clustered, replay_spawned, run_load,
-    ChurnEvent, Client, ClientError, GenConfig, IoMode, LoadConfig, MachineId, OpMix,
-    ReplayConfig, Request, Response, Ring, RingChange, RingSpec, ServeConfig, StorePolicy, Target,
-    Trace, DEFAULT_RING_SEED, DEFAULT_VNODES,
+    ChurnEvent, Client, ClientError, GenConfig, LoadConfig, MachineId, OpMix, ReplayConfig,
+    Request, Response, Ring, RingChange, RingSpec, ServeConfig, StorePolicy, Target, Trace,
+    DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
 use repf::sim::{
     amd_phenom_ii, intel_i7_2600k, prepare, run_mix, run_policy, Exec, MachineConfig, MixSpec,
@@ -53,9 +53,7 @@ struct Args {
     queue: usize,
     budget_mb: usize,
     shards: usize,
-    store_policy: Option<StorePolicy>,
-    model_cache: bool,
-    io_mode: IoMode,
+    store_policy: StorePolicy,
     max_conns: usize,
     out: Option<String>,
     trace: Option<String>,
@@ -135,8 +133,6 @@ report per-app speedups, throughput and traffic deltas.",
         Some("serve") => "\
 usage: repf serve [--addr HOST:PORT] [--threads N] [--queue N]
                   [--budget-mb N] [--shards N] [--store-policy P]
-                  [--no-model-cache]
-                  [--io-mode threads|epoll]
                   [--max-conns N] [--scale F]
                   [--peers H:P[,H:P...]] [--advertise H:P]
                   [--ring-seed N] [--vnodes N]
@@ -148,21 +144,15 @@ control message. The bound address is printed on the first stdout line
   --threads N    request worker threads (default: REPF_THREADS or cores)
   --queue N      bounded request queue depth; full => Busy (default 64)
   --budget-mb N  session-store byte budget in MiB (default 64)
-  --shards N     session-store shard count (default: REPF_SERVE_SHARDS or 8);
-                 shards are independently locked and split the budget evenly
+  --shards N     session-store shard count (default 8, at least 1); shards
+                 are independently locked and split the budget evenly
   --store-policy P
                  session-store eviction policy: `lru` (default) or `tinylfu`
                  (W-TinyLFU: frequency-sketch admission + windowed
                  probation/protected segments — keeps the zipf-hot working
-                 set under one-shot churn). Also: REPF_SERVE_STORE_POLICY
-  --no-model-cache
-                 refit session models on every query (measurement baseline)
-  --io-mode M    connection I/O: `epoll` = one readiness-polled I/O thread
-                 for all sockets (default on Linux), `threads` = one OS
-                 thread per connection (reference path; default elsewhere).
-                 Also: REPF_SERVE_IO_MODE
-  --max-conns N  open-connection cap; accepts past it are shed with Busy
-                 (default: REPF_SERVE_MAX_CONNS or 4096)
+                 set under one-shot churn)
+  --max-conns N  open-connection cap (at least 1); accepts past it are
+                 shed with Busy (default 4096)
   --scale F      refs scale for server-side benchmark profiling (default 0.05)
   --peers LIST   other cluster members (comma-separated): install a ring
                  over peers + self at startup; sessions are owned by their
@@ -288,7 +278,7 @@ file. The same seed always produces a byte-identical trace.\n
   --samples N    reuse samples per submitted batch (default 60)",
         Some("replay") => "\
 usage: repf replay --trace FILE [--nodes N] [--no-check]
-                   [--io-mode threads|epoll] [--store-policy lru|tinylfu]
+                   [--store-policy lru|tinylfu]
                    [--addr H:P[,H:P...]]
                    [--drain-at REC] [--join-at REC]
 
@@ -300,11 +290,10 @@ divergence and writes the minimal offending request prefix to
 FILE.diverged.\n
   --trace FILE   trace file to replay (required)
   --nodes N      loopback daemons to spawn and drive (default 1)
-  --io-mode M    connection I/O mode for spawned nodes (threads|epoll)
   --store-policy P
                  session-store policy for spawned nodes (lru|tinylfu); the
-                 digest must be identical across node counts and io modes
-                 for a fixed policy
+                 digest must be identical across node counts for a fixed
+                 policy
   --addr LIST    replay against running daemons instead (comma-separated;
                  the same RLIMIT_NOFILE preflight as `repf load` runs
                  before any connection opens)
@@ -378,13 +367,12 @@ fn parse_args() -> Args {
     let mut addr = None;
     let mut sizes = vec![32 << 10, 256 << 10, 1 << 20, 8 << 20];
     let mut delta = f64::NAN;
-    let mut queue = 64;
-    let mut budget_mb = 64;
-    let mut shards = 0;
-    let mut store_policy = None;
-    let mut model_cache = true;
-    let mut io_mode = IoMode::Auto;
-    let mut max_conns = 0;
+    let serve_default = ServeConfig::default();
+    let mut queue = serve_default.queue_depth;
+    let mut budget_mb = serve_default.session_budget_bytes >> 20;
+    let mut shards = serve_default.shards;
+    let mut store_policy = serve_default.store_policy;
+    let mut max_conns = serve_default.max_conns;
     let mut out = None;
     let mut trace = None;
     let mut nodes = 1;
@@ -478,31 +466,27 @@ fn parse_args() -> Args {
                     it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage_err(cmd))
             }
             "--shards" => {
-                shards =
-                    it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage_err(cmd))
+                shards = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| usage_err(cmd))
             }
             "--store-policy" => {
                 store_policy = match it.next().as_deref().map(str::parse) {
-                    Some(Ok(p)) => Some(p),
+                    Some(Ok(p)) => p,
                     other => {
                         eprintln!("bad --store-policy {other:?} (lru|tinylfu)");
                         usage_err(cmd)
                     }
                 }
             }
-            "--no-model-cache" => model_cache = false,
-            "--io-mode" => {
-                io_mode = match it.next().as_deref().map(str::parse) {
-                    Some(Ok(m)) => m,
-                    other => {
-                        eprintln!("bad --io-mode {other:?} (threads|epoll|auto)");
-                        usage_err(cmd)
-                    }
-                }
-            }
             "--max-conns" => {
-                max_conns =
-                    it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage_err(cmd))
+                max_conns = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| usage_err(cmd))
             }
             "--rate" => {
                 rate = it
@@ -654,7 +638,11 @@ fn parse_args() -> Args {
         }
     }
     if scale.is_nan() {
-        scale = if cmd == Some("serve") { 0.05 } else { 0.5 };
+        scale = if cmd == Some("serve") {
+            serve_default.refs_scale
+        } else {
+            0.5
+        };
     }
     Args {
         positional,
@@ -671,8 +659,6 @@ fn parse_args() -> Args {
         budget_mb,
         shards,
         store_policy,
-        model_cache,
-        io_mode,
         max_conns,
         out,
         trace,
@@ -858,8 +844,6 @@ fn cmd_serve(a: &Args) {
         session_budget_bytes: a.budget_mb << 20,
         shards: a.shards,
         store_policy: a.store_policy,
-        model_cache: a.model_cache,
-        io_mode: a.io_mode,
         max_conns: a.max_conns,
         refs_scale: a.scale,
         peers: a.peers.clone(),
@@ -875,7 +859,6 @@ fn cmd_serve(a: &Args) {
     });
     // First stdout line is machine-readable: scripts parse the port.
     println!("repf-serve listening on {}", handle.addr());
-    eprintln!("io-mode: {}", handle.io_mode());
     if clustered {
         eprintln!("cluster: ring over peers + self installed at epoch 1");
     }
@@ -1315,8 +1298,6 @@ fn cmd_replay(a: &Args) {
                 session_budget_bytes: a.budget_mb << 20,
                 shards: a.shards,
                 store_policy: a.store_policy,
-                model_cache: a.model_cache,
-                io_mode: a.io_mode,
                 refs_scale: a.scale,
                 ..ServeConfig::default()
             };

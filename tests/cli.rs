@@ -28,13 +28,10 @@ fn per_subcommand_help_exits_zero() {
         ("mix", "usage: repf mix"),
         ("serve", "--budget-mb"),
         ("serve", "--shards"),
-        ("serve", "--no-model-cache"),
-        ("serve", "--io-mode"),
         ("serve", "--max-conns"),
         ("query", "session:NAME"),
         ("record", "--sessions"),
         ("replay", "--no-check"),
-        ("replay", "--io-mode"),
     ] {
         let out = repf().args([cmd, "--help"]).output().unwrap();
         assert!(out.status.success(), "{cmd} --help must exit 0");
@@ -51,8 +48,10 @@ fn bad_flags_exit_nonzero() {
         vec!["run", "--machine", "marvin"],
         vec!["query", "mrc", "gcc"], // missing --addr
         vec!["serve", "--queue", "not-a-number"],
-        vec!["serve", "--io-mode", "fibers"],
+        vec!["serve", "--io-mode", "fibers"], // no such flag
         vec!["serve", "--max-conns", "many"],
+        vec!["serve", "--max-conns", "0"],
+        vec!["serve", "--shards", "0"],
         vec!["record"],               // missing --out
         vec!["replay"],               // missing --trace
         vec![], // no command at all

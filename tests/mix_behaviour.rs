@@ -3,9 +3,12 @@
 //! and the benefit of resource conservation.
 
 use repf::metrics::weighted_speedup;
-use repf::sim::{amd_phenom_ii, generate_mixes, run_mix, MixSpec, PlanCache, Policy};
-use repf::statstack::CoRunModel;
-use repf::workloads::{BenchmarkId, BuildOptions, InputSet};
+use repf::sim::{
+    amd_phenom_ii, generate_mixes, run_mix, CoreSetup, MixSpec, PlanCache, Policy, Sim,
+};
+use repf::statstack::{place, place_exhaustive, CoRunModel, StatStackModel};
+use repf::trace::TraceSourceExt;
+use repf::workloads::{build, BenchmarkId, BuildOptions, InputSet};
 
 fn cache(machine: &repf::sim::MachineConfig) -> PlanCache {
     PlanCache::build(
@@ -220,4 +223,123 @@ fn corun_predictions_track_simulated_mixes() {
         "co-run MAE {mae:.4} exceeds the pinned bound {CORUN_MAE_BOUND} \
          (seed {CORUN_ORACLE_SEED:#x}, {CORUN_ORACLE_MIXES} mixes)"
     );
+}
+
+/// Seed for the placement oracle mixes below; `generate_mixes(
+/// PLACE_ORACLE_MIXES, PLACE_ORACLE_SEED)` regenerates a failing mix.
+const PLACE_ORACLE_SEED: u64 = 0x005E_EDC1;
+const PLACE_ORACLE_MIXES: usize = 2;
+/// The bound must cut the search at 12 sessions → 3 groups of 4 to at
+/// most this fraction (1/5) of the exhaustive tree.
+const PLACE_MIN_NODE_REDUCTION: u64 = 5;
+/// Slack on a split's simulated aggregate miss ratio (the sum over its
+/// four apps): the co-run prediction carries a per-app error of ~0.005
+/// (see `CORUN_MAE_BOUND`), so splits within this band are ties to it.
+const PLACE_SIM_TOLERANCE: f64 = 0.1;
+
+/// Simulated aggregate LLC miss ratio of `apps` sharing one cache:
+/// the sum of each app's demand miss ratio in one baseline co-run.
+fn simulated_group_miss_ratio(m: &repf::sim::MachineConfig, apps: &[BenchmarkId]) -> f64 {
+    let setups: Vec<CoreSetup> = apps
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| {
+            let w = build(
+                id,
+                &BuildOptions {
+                    input: InputSet::Ref,
+                    addr_offset: ((i + 1) as u64) << 45,
+                    refs_scale: 0.3,
+                },
+            );
+            CoreSetup {
+                base_cpr: w.base_cpr,
+                target_refs: w.nominal_refs,
+                source: Box::new(w.cycle()),
+                plan: None,
+                hw: None,
+            }
+        })
+        .collect();
+    Sim::run_mix(m, setups)
+        .iter()
+        .map(|o| o.stats.llc_misses as f64 / o.stats.demand_accesses.max(1) as f64)
+        .sum()
+}
+
+#[test]
+fn placement_search_is_exact_and_picks_the_simulated_best_split() {
+    // The serving layer's `Place` endpoint runs the bounded search. It
+    // must return the exhaustive optimum bit for bit while visiting far
+    // fewer nodes, and the split it picks must be the one the
+    // cycle-level simulator finds best (a shared-cache check: the
+    // search ranks splits by the analytic co-run composition).
+    let m = amd_phenom_ii();
+    let cache = cache(&m);
+    let llc_bytes = m.hierarchy.llc.size_bytes;
+
+    let models: Vec<&StatStackModel> = BenchmarkId::all()
+        .iter()
+        .map(|&id| cache.model(id))
+        .collect();
+    let weights: Vec<f64> = models.iter().map(|m| m.sample_count() as f64).collect();
+    let searched = place(&models, &weights, 3, 4, llc_bytes, 1);
+    let exhaustive = place_exhaustive(&models, &weights, 3, 4, llc_bytes);
+    assert_eq!(searched.groups, exhaustive.groups, "12 -> 3x4 groups");
+    assert_eq!(
+        searched.total_miss_ratio.to_bits(),
+        exhaustive.total_miss_ratio.to_bits(),
+        "12 -> 3x4 total miss ratio"
+    );
+    assert_eq!(
+        searched.throughput.to_bits(),
+        exhaustive.throughput.to_bits(),
+        "12 -> 3x4 throughput"
+    );
+    eprintln!(
+        "placement 12 -> 3x4: {} nodes searched, {} exhaustive",
+        searched.nodes_explored, exhaustive.nodes_explored
+    );
+    assert!(
+        searched.nodes_explored * PLACE_MIN_NODE_REDUCTION <= exhaustive.nodes_explored,
+        "the bound must cut the tree {PLACE_MIN_NODE_REDUCTION}x: {} nodes searched, {} exhaustive",
+        searched.nodes_explored,
+        exhaustive.nodes_explored
+    );
+
+    let splits: [[[usize; 2]; 2]; 3] = [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]];
+    for (mi, spec) in generate_mixes(PLACE_ORACLE_MIXES, PLACE_ORACLE_SEED)
+        .iter()
+        .enumerate()
+    {
+        let mix_models: Vec<&StatStackModel> =
+            spec.apps.iter().map(|&id| cache.model(id)).collect();
+        let mix_weights: Vec<f64> = mix_models.iter().map(|m| m.sample_count() as f64).collect();
+        let best = place(&mix_models, &mix_weights, 2, 2, llc_bytes, 1);
+        let simulated: Vec<f64> = splits
+            .iter()
+            .map(|split| {
+                split
+                    .iter()
+                    .map(|g| simulated_group_miss_ratio(&m, &[spec.apps[g[0]], spec.apps[g[1]]]))
+                    .sum()
+            })
+            .collect();
+        let picked = splits
+            .iter()
+            .position(|split| best.groups == split.map(|g| g.to_vec()))
+            .expect("a 2+2 placement is one of the three splits");
+        let sim_best = simulated.iter().copied().fold(f64::INFINITY, f64::min);
+        eprintln!(
+            "placement mix {mi} {:?}: picked split {picked} simulates at {:.4}, best {sim_best:.4}",
+            spec.apps, simulated[picked]
+        );
+        assert!(
+            simulated[picked] <= sim_best + PLACE_SIM_TOLERANCE,
+            "mix {mi} of generate_mixes({PLACE_ORACLE_MIXES}, {PLACE_ORACLE_SEED:#x}), apps {:?}: \
+             the searched split simulates at {:.4}, the best split at {sim_best:.4}",
+            spec.apps,
+            simulated[picked]
+        );
+    }
 }
