@@ -38,7 +38,7 @@ fn bench<T>(group: &str, name: &str, elems: u64, mut f: impl FnMut() -> T) {
         String::new()
     };
     println!(
-        "{group}/{name}: min {:10.3} ms  mean {:10.3} ms  ({} samples){rate}",
+        "{group}/{name}: min {:10.4} ms  mean {:10.4} ms  ({} samples){rate}",
         min * 1e3,
         mean * 1e3,
         times.len()
@@ -97,6 +97,31 @@ fn bench_statstack() {
         repf_statstack::curve::figure3_sizes()
             .into_iter()
             .map(|s| model.miss_ratio_bytes(s))
+            .sum::<f64>()
+    });
+    // The per-PC curve a load generator's scan asks for: the PC with the
+    // most samples, at 1..=16 MiB.
+    let hottest = model
+        .sampled_pcs()
+        .into_iter()
+        .max_by_key(|&pc| model.pc_sample_count(pc))
+        .expect("mcf has sampled PCs");
+    let scan: Vec<u64> = (1..=16u64).map(|i| i << 20).collect();
+    bench("statstack", "pc-mrc-16-sizes", 0, || {
+        model.pc_mrc_bytes(hottest, &scan)
+    });
+    // The same samples as a grown session holds them: a base fit, then
+    // the last 5 % of the completed samples folded in as the delta.
+    let split = profile.reuse.len() - profile.reuse.len() / 20;
+    let mut first = StatStackModel::builder(profile.line_bytes);
+    first.push_batch(&profile.reuse[..split], &profile.dangling);
+    let mut rest = StatStackModel::builder(profile.line_bytes);
+    rest.push_batch(&profile.reuse[split..], &[]);
+    let two_level = first.fit().extend(&rest);
+    bench("statstack", "application-mrc-two-level", 0, || {
+        repf_statstack::curve::figure3_sizes()
+            .into_iter()
+            .map(|s| two_level.miss_ratio_bytes(s))
             .sum::<f64>()
     });
     let cfg = amd_phenom_ii().analysis_config(6.0);

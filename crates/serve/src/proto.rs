@@ -101,7 +101,8 @@ pub enum ErrorCode {
     UnknownSession,
     /// Benchmark index out of range.
     UnknownBenchmark,
-    /// Submitted batch disagrees with the session's line size.
+    /// Submitted batch disagrees with the session's line size, or its
+    /// line size is 0.
     InconsistentBatch,
     /// Request understood but refused (e.g. empty size list).
     Unsupported,
@@ -890,6 +891,11 @@ fn enc_model(e: &mut Enc, m: &ModelWire) {
 
 fn dec_model(d: &mut Dec) -> Result<ModelWire, ProtoError> {
     let line_bytes = d.u64()?;
+    if line_bytes == 0 {
+        // No session fits at line size 0, and every byte-sized query of
+        // such a model would divide by it.
+        return Err(ProtoError::Malformed("model line_bytes is 0"));
+    }
     let dangling = d.u64()?;
     let sorted = dec_u64s(d)?;
     let n = d.count(16)?; // pc + dangling + count
@@ -1798,6 +1804,30 @@ mod tests {
             let f = resp.encode();
             assert_eq!(Response::decode(&f[4..]).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn zero_line_models_are_malformed() {
+        let zero = ModelWire {
+            line_bytes: 0,
+            ..sample_model()
+        };
+        let import = Request::SessionImport {
+            session: "s".into(),
+            version: 1,
+            batch: SampleBatch {
+                line_bytes: 64,
+                ..SampleBatch::default()
+            },
+            model: Some(zero.clone()),
+        };
+        let entry = Response::ModelEntry {
+            version: 1,
+            model: Some(zero),
+        };
+        let want = ProtoError::Malformed("model line_bytes is 0");
+        assert_eq!(Request::decode(&import.encode()[4..]).unwrap_err(), want);
+        assert_eq!(Response::decode(&entry.encode()[4..]).unwrap_err(), want);
     }
 
     #[test]

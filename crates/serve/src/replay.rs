@@ -505,6 +505,9 @@ impl Oracle {
         match req {
             Request::Ping => Some(Response::Pong),
             Request::Submit { session, batch } => {
+                if batch.line_bytes == 0 {
+                    return None; // refused before any session exists
+                }
                 let s = self
                     .sessions
                     .entry(session.clone())

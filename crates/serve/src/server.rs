@@ -734,6 +734,7 @@ impl ServeState {
                 code: ErrorCode::InconsistentBatch,
                 message: "imported batch has inconsistent line_bytes".into(),
             },
+            Err(SubmitRejected::ZeroLineBytes) => zero_line_bytes(),
         }
     }
 
@@ -913,6 +914,7 @@ impl ServeState {
                 code: ErrorCode::InconsistentBatch,
                 message: "line_bytes differs from the session's earlier batches".into(),
             },
+            Err(SubmitRejected::ZeroLineBytes) => zero_line_bytes(),
         }
     }
 
@@ -1510,6 +1512,15 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         state,
         io_thread: Some(io_thread),
     })
+}
+
+/// The refusal of a `Submit` or `SessionImport` batch whose
+/// `line_bytes` is 0.
+fn zero_line_bytes() -> Response {
+    Response::Error {
+        code: ErrorCode::InconsistentBatch,
+        message: "line_bytes must be at least 1".into(),
+    }
 }
 
 /// Best-effort `Busy` answer to a connection shed at accept time

@@ -226,6 +226,9 @@ pub enum SubmitRejected {
     /// The batch's `line_bytes` disagrees with earlier batches of the
     /// same session — mixing them would corrupt the model.
     InconsistentLineBytes,
+    /// The batch's `line_bytes` is 0: no cache size converts to lines.
+    /// Refused before any session is created.
+    ZeroLineBytes,
 }
 
 /// An LRU-evicting session store with a hard byte budget — one shard of
@@ -493,6 +496,9 @@ impl SessionStore {
         name: &str,
         batch: SampleBatch,
     ) -> Result<SubmitOutcome, SubmitRejected> {
+        if batch.line_bytes == 0 {
+            return Err(SubmitRejected::ZeroLineBytes);
+        }
         let now = self.tick();
         let hash = name_hash(name);
         let ix = match self.index_of(name) {
@@ -778,6 +784,9 @@ impl SessionStore {
         batch: SampleBatch,
         model: Option<Arc<StatStackModel>>,
     ) -> Result<SubmitOutcome, SubmitRejected> {
+        if batch.line_bytes == 0 {
+            return Err(SubmitRejected::ZeroLineBytes);
+        }
         if let Some(ix) = self.index_of(name) {
             self.detach_at(ix);
         }
@@ -1278,6 +1287,29 @@ mod tests {
             s.submit("a", b),
             Err(SubmitRejected::InconsistentLineBytes)
         );
+    }
+
+    #[test]
+    fn zero_line_bytes_is_refused_before_a_session_exists() {
+        let mut s = SessionStore::new(1 << 20);
+        s.submit("a", batch(1)).unwrap();
+        let mut zero = batch(2);
+        zero.line_bytes = 0;
+        assert_eq!(
+            s.submit("z", zero.clone()),
+            Err(SubmitRejected::ZeroLineBytes)
+        );
+        assert_eq!(
+            s.import("a", 7, zero, None),
+            Err(SubmitRejected::ZeroLineBytes)
+        );
+        assert!(s.get("z").is_none());
+        assert_eq!(
+            s.get("a").unwrap().line_bytes,
+            64,
+            "import left 'a' as it was"
+        );
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

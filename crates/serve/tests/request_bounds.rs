@@ -1,7 +1,8 @@
 //! Work bounds per request, over real sockets against a one-worker
 //! daemon: the worst wire-legal `Place` and `CoRun` shapes are refused
 //! before any model is touched, a `Place` at the tree cap is answered,
-//! and every answer or refusal equals the replay oracle's bytes.
+//! a batch no model can be built from creates no session, and every
+//! answer or refusal equals the replay oracle's bytes.
 
 use repf_sampling::ReuseSample;
 use repf_serve::proto::{MAX_CORUN_SESSIONS, MAX_PLACE_TREE_NODES, MAX_QUERY_SIZES};
@@ -181,5 +182,58 @@ fn oversized_size_lists_are_refused_before_any_work() {
     assert!(matches!(resp, Response::PcMrc { .. }), "{resp:?}");
 
     c.ping().expect("daemon still healthy");
+    handle.shutdown();
+}
+
+#[test]
+fn zero_line_bytes_submit_is_refused_and_creates_no_session() {
+    let handle = start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("start daemon");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    // Accepted, such a session's first query divided by zero in the one
+    // worker, and no reply ever came.
+    c.set_timeout(Some(REFUSAL_BUDGET)).expect("timeout");
+    let mut oracle = Oracle::new();
+    let submit = Request::Submit {
+        session: "zero".into(),
+        batch: SampleBatch {
+            line_bytes: 0,
+            ..batch(0)
+        },
+    };
+    oracle.expected(&submit);
+    let resp = c.call_any(&submit).expect("submit answered");
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::InconsistentBatch,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    let (resp, _) = ask(
+        &mut c,
+        &mut oracle,
+        &Request::QueryMrc {
+            target: Target::Session("zero".into()),
+            sizes_bytes: vec![64 << 10],
+        },
+    );
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::UnknownSession,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    c.ping().expect("the worker still answers");
     handle.shutdown();
 }

@@ -10,6 +10,23 @@
 //! up exact integer counts and sums from both levels, which makes a
 //! two-level model answer bit-identically to a one-level fit of the
 //! same samples.
+//!
+//! A miss ratio at `L` lines needs the *threshold*: the smallest reuse
+//! distance `d` with `S(d) ≥ L`. With `n` samples,
+//! `n·S(d) = Σ min(x, d) + dangling·d` over the completed distances `x`,
+//! a piecewise-linear function of `d` with a corner at each sample value.
+//! At the sample of rank `r` in a level, that level's `Σ min(x, x_r)` is
+//! `prefix[r] + x_r·(len − r)`, so
+//! [`distance_threshold`](StatStackModel::distance_threshold) searches
+//! sample ranks instead of raw distances, then solves the one linear
+//! segment that holds the crossing with an integer division. The
+//! segment's slope, `n − c`, is also the number of samples that miss,
+//! so a miss ratio needs no second search. The answer is the smallest
+//! `d` with `stack_distance(d) >= L as f64`, as a bisection over
+//! distances would find it: while `L·n < 2⁵³` the integer comparison
+//! and the f64 one agree, and the candidate is checked at `d` and
+//! `d − 1` all the same. An empty model and a larger `L·n` fall back to
+//! that bisection.
 
 use crate::curve::MissRatioCurve;
 use repf_sampling::Profile;
@@ -51,6 +68,21 @@ impl PcSamples {
 /// Completed distances in sorted `distances` that are ≥ `threshold`.
 fn count_at_or_beyond(distances: &[u64], threshold: u64) -> u64 {
     (distances.len() - distances.partition_point(|&d| d < threshold)) as u64
+}
+
+/// The first `x` in `0..len` at which `passes` holds, or `len` if none
+/// does, for a `passes` that is monotone in `x`.
+fn first_passing(len: u64, mut passes: impl FnMut(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// One level of a model's samples.
@@ -236,7 +268,9 @@ impl StatStackModel {
         [&self.base.sorted, &self.delta.sorted]
     }
 
-    /// The largest completed distance (0 when there is none).
+    /// The largest completed distance (0 when there is none): the
+    /// reference searches' plateau cap.
+    #[cfg(test)]
     pub(crate) fn max_distance(&self) -> u64 {
         self.levels()
             .iter()
@@ -278,42 +312,111 @@ impl StatStackModel {
 
     /// Smallest reuse distance whose expected stack distance reaches
     /// `lines`, or `None` if no finite distance does (then only dangling
-    /// samples miss).
+    /// samples miss): the smallest `d` with
+    /// `stack_distance(d) >= lines as f64`.
+    ///
+    /// Found by a rank search over the sorted samples (see the module
+    /// documentation), or, for an empty model and where `lines · n`
+    /// reaches 2⁵³, by bisection over `[0, lines << lines.leading_zeros()]`.
     pub fn distance_threshold(&self, lines: u64) -> Option<u64> {
+        self.threshold_and_misses(lines).0
+    }
+
+    /// The threshold for `lines` and the samples that miss there.
+    fn threshold_and_misses(&self, lines: u64) -> (Option<u64>, u64) {
+        self.crossing(lines).unwrap_or_else(|| {
+            let threshold = self.bisect_threshold(lines);
+            (threshold, self.misses_at(threshold))
+        })
+    }
+
+    /// The threshold for `lines` and the samples that miss there, from
+    /// the sorted samples alone; `None` when the model is empty or
+    /// `lines · n` reaches 2⁵³.
+    ///
+    /// `n·S(d) = Σ min(x, d) + dangling·d` over the completed distances
+    /// `x`, so the threshold is the smallest `d` where that sum reaches
+    /// `lines · n`. Three steps find it:
+    /// - A binary search over base ranks. At the base sample of rank
+    ///   `r`, the base's `Σ min(x, x_r)` is `prefix[r] + x_r·(len − r)`,
+    ///   duplicates or not, so a probe costs one `partition_point` in
+    ///   the delta, confined to the delta ranks the probes so far leave
+    ///   in play.
+    /// - A binary search over the delta samples that bracket leaves,
+    ///   those between the two adjacent base values found. Below each of
+    ///   them the base count and sum are fixed, so these probes search
+    ///   nothing.
+    /// - A closed form in the segment between the two adjacent sample
+    ///   values found. There the count `c` and sum `s` of the samples
+    ///   below `d` are fixed, so `n·S(d) = s + (n − c)·d` is linear and
+    ///   the crossing is one integer division. The `n − c` samples at or
+    ///   beyond the segment are exactly those that miss.
+    ///
+    /// While `lines · n < 2⁵³`, `n·S(d) ≥ lines · n` holds exactly when
+    /// the f64 quotient `stack_distance` computes is `≥ lines as f64`,
+    /// so the integer crossing is the f64 definition's answer. The
+    /// candidate `g` is still returned only if `stack_distance(g)` passes
+    /// and `stack_distance(g − 1)` does not, both computed from the
+    /// segment exactly as [`stack_distance`](Self::stack_distance)
+    /// computes them; since `S` is monotone, that makes `g` the smallest
+    /// passing distance. Prefix sums that wrapped past `u64::MAX` break
+    /// that monotonicity; the search then stays bounded and answers
+    /// something, but not necessarily what the bisection would.
+    fn crossing(&self, lines: u64) -> Option<(Option<u64>, u64)> {
+        let n = self.sample_count();
+        let goal = lines as u128 * n as u128;
+        if n == 0 || goal >= 1 << 53 {
+            return None;
+        }
+        let (base, delta) = (&*self.base, &self.delta);
+        // n·S(d) with `count` completed samples below `d` (or at it)
+        // summing to `sum`, against the goal.
+        let reaches =
+            |count: usize, sum: u128, d: u64| sum + (n - count as u64) as u128 * d as u128 >= goal;
+        let sum = |rb: usize, rd: usize| base.prefix[rb] as u128 + delta.prefix[rd] as u128;
+        // Base ranks in play are rb..hi; the delta rank of any of their
+        // samples lies in dlo..=dhi, so each probe searches only there.
+        let (mut rb, mut hi) = (0, base.sorted.len());
+        let (mut dlo, mut dhi) = (0, delta.sorted.len());
+        while rb < hi {
+            let mid = rb + (hi - rb) / 2;
+            let x = base.sorted[mid];
+            let rd = dlo + delta.sorted[dlo..dhi].partition_point(|&y| y < x);
+            if reaches(mid + rd, sum(mid, rd), x) {
+                (hi, dhi) = (mid, rd);
+            } else {
+                (rb, dlo) = (mid + 1, rd);
+            }
+        }
+        // The delta samples from base[rb − 1] up to base[rb]. Those equal
+        // to base[rb − 1] fail as it does.
+        let rd = dlo
+            + first_passing((dhi - dlo) as u64, |j| {
+                let j = dlo + j as usize;
+                reaches(rb + j, sum(rb, j), delta.sorted[j])
+            }) as usize;
+        let (s, misses) = (sum(rb, rd), n - (rb + rd) as u64);
+        let target = lines as f64;
+        let passes = |d: u64| (s + misses as u128 * d as u128) as f64 / n as f64 >= target;
+        if misses == 0 {
+            // A dangling-free plateau: n·S stays at `s` past every sample.
+            return (!passes(0)).then_some((None, 0));
+        }
+        let g = u64::try_from(goal.checked_sub(s)?.div_ceil(misses as u128)).ok()?;
+        (passes(g) && (g == 0 || !passes(g - 1))).then_some((Some(g), misses))
+    }
+
+    /// The threshold by bisection over `[0, lines << lines.leading_zeros()]`,
+    /// the largest distance the doubling search from `lines` reaches
+    /// without overflow; `None` when even that distance fails.
+    fn bisect_threshold(&self, lines: u64) -> Option<u64> {
         if lines == 0 {
             return Some(0);
         }
         let target = lines as f64;
-        // S(d) ≤ d, so start the exponential search at `lines`.
-        let mut hi = lines.max(1);
-        let cap = self.max_distance().saturating_add(1);
-        loop {
-            if self.stack_distance(hi) >= target {
-                break;
-            }
-            if hi > cap {
-                // Beyond the largest observed distance the survival
-                // function is dangling-only: S grows at slope
-                // dangling/n. If dangling is zero, S has plateaued.
-                if self.dangling() == 0 {
-                    return None;
-                }
-            }
-            hi = hi.saturating_mul(2);
-            if hi == u64::MAX {
-                return None;
-            }
-        }
-        let mut lo = 0u64;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.stack_distance(mid) >= target {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(lo)
+        let hi = lines << lines.leading_zeros();
+        (self.stack_distance(hi) >= target)
+            .then(|| first_passing(hi, |d| self.stack_distance(d) >= target))
     }
 
     /// Application miss ratio for a fully-associative LRU cache of
@@ -323,7 +426,7 @@ impl StatStackModel {
         if n == 0 {
             return 0.0;
         }
-        self.misses_at(self.distance_threshold(lines)) as f64 / n as f64
+        self.threshold_and_misses(lines).1 as f64 / n as f64
     }
 
     /// Application miss ratio for a cache of `bytes` capacity.
@@ -338,18 +441,26 @@ impl StatStackModel {
             .filter_map(move |l| l.per_pc.get(&pc))
     }
 
+    /// `pc`'s miss ratio as a function of cache lines, with its samples
+    /// looked up once. `None` for PCs with no samples.
+    fn pc_miss_ratio_fn(&self, pc: Pc) -> Option<impl Fn(u64) -> f64 + '_> {
+        let levels = self.levels().map(|l| l.per_pc.get(&pc));
+        let n: u64 = levels.iter().flatten().map(|s| s.total()).sum();
+        (n > 0).then_some(move |lines| {
+            let threshold = self.distance_threshold(lines);
+            let missing: u64 = levels
+                .iter()
+                .flatten()
+                .map(|s| threshold.map_or(s.dangling, |t| s.at_or_beyond(t)))
+                .sum();
+            missing as f64 / n as f64
+        })
+    }
+
     /// Per-instruction miss ratio at `lines` capacity. Returns `None` for
     /// PCs with no samples.
     pub fn pc_miss_ratio(&self, pc: Pc, lines: u64) -> Option<f64> {
-        let n = self.pc_sample_count(pc);
-        if n == 0 {
-            return None;
-        }
-        let missing: u64 = match self.distance_threshold(lines) {
-            None => self.pc_levels(pc).map(|s| s.dangling).sum(),
-            Some(t) => self.pc_levels(pc).map(|s| s.at_or_beyond(t)).sum(),
-        };
-        Some(missing as f64 / n as f64)
+        self.pc_miss_ratio_fn(pc).map(|f| f(lines))
     }
 
     /// Per-instruction miss ratio at `bytes` capacity.
@@ -368,14 +479,15 @@ impl StatStackModel {
         )
     }
 
-    /// Per-instruction miss-ratio curve over `sizes_bytes`.
+    /// Per-instruction miss-ratio curve over `sizes_bytes`. Returns
+    /// `None` for PCs with no samples.
     pub fn pc_mrc_bytes(&self, pc: Pc, sizes_bytes: &[u64]) -> Option<MissRatioCurve> {
-        self.pc_levels(pc).next()?;
+        let ratio = self.pc_miss_ratio_fn(pc)?;
         Some(MissRatioCurve::new(
             sizes_bytes.to_vec(),
             sizes_bytes
                 .iter()
-                .map(|&b| self.pc_miss_ratio_bytes(pc, b).unwrap())
+                .map(|&b| ratio(b / self.line_bytes))
                 .collect(),
         ))
     }
@@ -454,6 +566,7 @@ mod tests {
     use super::*;
     use repf_sampling::{Sampler, SamplerConfig};
     use repf_trace::patterns::{PointerChase, PointerChaseCfg, StridedStream, StridedStreamCfg};
+    use repf_trace::rng::XorShift64Star;
     use repf_trace::{MemRef, Pc, TraceSource, TraceSourceExt};
 
     fn dense(period: u64) -> Sampler {
@@ -570,7 +683,6 @@ mod tests {
         // Uniform random access over N lines: compare StatStack's MRC
         // against an exact high-associativity simulation.
         use repf_cache::{CacheConfig, FunctionalCacheSim};
-        use repf_trace::rng::XorShift64Star;
         let n_lines = 2048u64;
         let make_refs = || {
             let mut rng = XorShift64Star::new(17);
@@ -656,6 +768,317 @@ mod tests {
         assert_eq!(m.base.sorted, vec![3, 7, 9]);
         assert_eq!(m.base.prefix, vec![0, 3, 10, 19]);
         assert!(m.pc_miss_ratio(Pc(5), 1).is_some());
+    }
+
+    /// The threshold search `distance_threshold` ran before the rank
+    /// search, verbatim: an exponential search from `lines`, then a
+    /// bisection from 0 over raw distances.
+    fn reference_threshold(m: &StatStackModel, lines: u64) -> Option<u64> {
+        if lines == 0 {
+            return Some(0);
+        }
+        let target = lines as f64;
+        // S(d) ≤ d, so start the exponential search at `lines`.
+        let mut hi = lines.max(1);
+        let cap = m.max_distance().saturating_add(1);
+        loop {
+            if m.stack_distance(hi) >= target {
+                break;
+            }
+            if hi > cap {
+                // Beyond the largest observed distance the survival
+                // function is dangling-only: S grows at slope
+                // dangling/n. If dangling is zero, S has plateaued.
+                if m.dangling() == 0 {
+                    return None;
+                }
+            }
+            hi = hi.saturating_mul(2);
+            if hi == u64::MAX {
+                return None;
+            }
+        }
+        let mut lo = 0u64;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if m.stack_distance(mid) >= target {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
+
+    /// `miss_ratio` and `pc_miss_ratio` as they read the reference
+    /// threshold.
+    fn reference_miss_ratio(m: &StatStackModel, lines: u64) -> f64 {
+        let n = m.sample_count();
+        if n == 0 {
+            return 0.0;
+        }
+        m.misses_at(reference_threshold(m, lines)) as f64 / n as f64
+    }
+
+    fn reference_pc_miss_ratio(m: &StatStackModel, pc: Pc, lines: u64) -> Option<f64> {
+        let n = m.pc_sample_count(pc);
+        if n == 0 {
+            return None;
+        }
+        let missing: u64 = match reference_threshold(m, lines) {
+            None => m.pc_levels(pc).map(|s| s.dangling).sum(),
+            Some(t) => m.pc_levels(pc).map(|s| s.at_or_beyond(t)).sum(),
+        };
+        Some(missing as f64 / n as f64)
+    }
+
+    /// Seeded samples: up to `max_len` completed ones below `2^bits`
+    /// (drawn from a handful of values when `dups`) ending at PCs 1..=4,
+    /// and up to `max_dangling` dangling ones at PCs 1..=5.
+    struct Draw {
+        bits: u32,
+        dups: bool,
+    }
+
+    impl Draw {
+        fn samples(
+            &self,
+            rng: &mut XorShift64Star,
+            max_len: u64,
+            max_dangling: u64,
+        ) -> (Vec<(Pc, u64)>, Vec<Pc>) {
+            let values: Vec<u64> = (0..1 + rng.below(6))
+                .map(|_| rng.below(1 << self.bits))
+                .collect();
+            let reuse = (0..rng.below(max_len + 1))
+                .map(|_| {
+                    let d = if self.dups {
+                        values[rng.below(values.len() as u64) as usize]
+                    } else {
+                        rng.below(1 << self.bits)
+                    };
+                    (Pc(1 + rng.below(4) as u32), d)
+                })
+                .collect();
+            let dangling = (0..rng.below(max_dangling + 1))
+                .map(|_| Pc(1 + rng.below(5) as u32))
+                .collect();
+            (reuse, dangling)
+        }
+
+        fn level(&self, rng: &mut XorShift64Star, max_len: u64, max_dangling: u64) -> Level {
+            let (reuse, dangling) = self.samples(rng, max_len, max_dangling);
+            Level::from_samples(reuse.into_iter(), dangling.into_iter())
+        }
+    }
+
+    /// Cache sizes that hit every branch of the search: 0 and 1, powers
+    /// of two, `u64::MAX − k`, sizes of random magnitude, the stack
+    /// distances of some samples (segment edges), and the sizes where
+    /// `lines · n` crosses 2⁵³ (the fallback's edge).
+    fn probe_sizes(m: &StatStackModel, rng: &mut XorShift64Star) -> Vec<u64> {
+        let mut sizes = vec![0, 1, 2, 3];
+        sizes.extend((0..64).map(|k| 1u64 << k));
+        sizes.extend((0..4).map(|k| u64::MAX - k));
+        sizes.extend((0..16).map(|_| rng.next_u64() >> rng.below(64)));
+        for sorted in m.completed_levels() {
+            for _ in 0..4.min(sorted.len()) {
+                let s = m.stack_distance(sorted[rng.below(sorted.len() as u64) as usize]);
+                sizes.extend([s.floor() as u64, s.ceil() as u64, s.ceil() as u64 + 1]);
+            }
+        }
+        let edge = (1u64 << 53) / m.sample_count().max(1);
+        sizes.extend([edge - 1, edge, edge + 1]);
+        sizes
+    }
+
+    /// Every model shape the rank search distinguishes, from one seed.
+    /// Distances stay below 2⁵² and counts below 2,500, so every
+    /// prefix sum stays below 2⁶⁴.
+    fn random_model(seed: u64) -> StatStackModel {
+        use repf_sampling::{DanglingSample, ReuseSample};
+        use repf_trace::AccessKind::Load;
+        let mut rng = XorShift64Star::new(seed);
+        let draw = Draw {
+            bits: 1 + rng.below(52) as u32,
+            dups: rng.below(2) == 0,
+        };
+        let line_bytes = if rng.below(4) == 0 { 128 } else { 64 };
+        let rng = &mut rng;
+        let (base, delta) = match seed % 8 {
+            0 => (draw.level(rng, 2000, 300), Level::default()),
+            1 => (draw.level(rng, 2000, 300), draw.level(rng, 200, 30)),
+            // A delta larger than its base, and a delta with no base.
+            2 => (draw.level(rng, 50, 10), draw.level(rng, 400, 40)),
+            3 => (Level::default(), draw.level(rng, 400, 40)),
+            // A dangling-free plateau, in one level or two.
+            4 => (
+                draw.level(rng, 2000, 0),
+                draw.level(rng, 100 * (seed / 8 % 2), 0),
+            ),
+            // Dangling samples only.
+            5 => (draw.level(rng, 0, 300), draw.level(rng, 0, 30)),
+            // A single completed or dangling sample, or none at all.
+            6 => {
+                let (reuse, dangling) = match rng.below(3) {
+                    0 => (vec![(Pc(1), rng.below(1 << draw.bits))], vec![]),
+                    1 => (vec![], vec![Pc(1)]),
+                    _ => (vec![], vec![]),
+                };
+                let one = Level::from_samples(reuse.into_iter(), dangling.into_iter());
+                (one, Level::default())
+            }
+            // Fitted, then extended batch by batch, as a session grows.
+            _ => {
+                let mut model = StatStackModel::from_level(line_bytes, draw.level(rng, 1500, 200));
+                for _ in 0..rng.below(6) {
+                    let (reuse, dangling) = draw.samples(rng, 60, 10);
+                    let reuse: Vec<ReuseSample> = reuse
+                        .into_iter()
+                        .map(|(pc, distance)| ReuseSample {
+                            start_pc: pc,
+                            start_kind: Load,
+                            end_pc: pc,
+                            end_kind: Load,
+                            distance,
+                            start_index: 0,
+                        })
+                        .collect();
+                    let dangling: Vec<DanglingSample> = dangling
+                        .into_iter()
+                        .map(|pc| DanglingSample {
+                            pc,
+                            kind: Load,
+                            start_index: 0,
+                        })
+                        .collect();
+                    let mut batch = StatStackModel::builder(line_bytes);
+                    batch.push_batch(&reuse, &dangling);
+                    model = model.extend(&batch);
+                }
+                return model;
+            }
+        };
+        StatStackModel {
+            line_bytes,
+            base: Arc::new(base),
+            delta,
+        }
+    }
+
+    #[test]
+    fn rank_search_matches_the_bisection_bit_for_bit() {
+        let (mut cases, mut ranked) = (0u64, 0u64);
+        for seed in 0..480u64 {
+            let m = random_model(seed);
+            let mut rng = XorShift64Star::new(seed ^ 0x5eed);
+            let sizes = probe_sizes(&m, &mut rng);
+            let pcs = m.sampled_pcs();
+            for &lines in &sizes {
+                let want = reference_threshold(&m, lines);
+                assert_eq!(
+                    m.distance_threshold(lines),
+                    want,
+                    "seed {seed}: threshold({lines})"
+                );
+                assert_eq!(
+                    m.miss_ratio(lines).to_bits(),
+                    reference_miss_ratio(&m, lines).to_bits(),
+                    "seed {seed}: MR({lines})"
+                );
+                for &pc in &pcs {
+                    assert_eq!(
+                        m.pc_miss_ratio(pc, lines).map(f64::to_bits),
+                        reference_pc_miss_ratio(&m, pc, lines).map(f64::to_bits),
+                        "seed {seed}: MR_{pc}({lines})"
+                    );
+                }
+                // The rank search answers every size below the f64
+                // limit itself, so a wrong candidate cannot hide behind
+                // the fallback.
+                let exact =
+                    m.sample_count() > 0 && lines as u128 * (m.sample_count() as u128) < 1 << 53;
+                assert_eq!(
+                    m.crossing(lines).is_some(),
+                    exact,
+                    "seed {seed}: ranked({lines})"
+                );
+                cases += 1;
+                ranked += exact as u64;
+            }
+            let mut bytes: Vec<u64> = sizes
+                .iter()
+                .map(|&l| l.saturating_mul(m.line_bytes))
+                .collect();
+            bytes.sort_unstable();
+            bytes.dedup();
+            for pc in pcs.iter().copied().chain([Pc(99)]) {
+                let want = reference_pc_miss_ratio(&m, pc, 0).map(|_| {
+                    bytes
+                        .iter()
+                        .map(|&b| {
+                            reference_pc_miss_ratio(&m, pc, b / m.line_bytes)
+                                .unwrap()
+                                .to_bits()
+                        })
+                        .collect::<Vec<_>>()
+                });
+                let got = m
+                    .pc_mrc_bytes(pc, &bytes)
+                    .map(|c| c.ratios().iter().map(|r| r.to_bits()).collect::<Vec<_>>());
+                assert_eq!(got, want, "seed {seed}: MRC_{pc}");
+            }
+        }
+        // Both paths ran: most sizes by rank, the rest by bisection.
+        assert!(
+            ranked * 2 > cases && ranked < cases,
+            "{ranked} of {cases} by rank"
+        );
+    }
+
+    #[test]
+    fn wrapped_prefix_sums_stay_bounded() {
+        // Distances of 2⁶³ + k wrap the base's prefix sums (release
+        // builds wrap where test builds would panic in `Level::new`),
+        // while each wrapped sum stays below 2⁶³, so `stack_distance`
+        // can still add a small delta to it here. S is no longer
+        // monotone; every query must still return.
+        let sorted: Vec<u64> = (0..64u64).map(|k| (1 << 63) + k * 1013).collect();
+        let prefix = std::iter::once(0)
+            .chain(sorted.iter().scan(0u64, |acc, &d| {
+                *acc = acc.wrapping_add(d);
+                Some(*acc)
+            }))
+            .collect();
+        let mut per_pc = FxHashMap::default();
+        per_pc.insert(
+            Pc(1),
+            PcSamples {
+                distances: sorted.clone(),
+                dangling: 3,
+            },
+        );
+        let base = Level {
+            sorted,
+            prefix,
+            dangling: 3,
+            per_pc,
+        };
+        let delta = Level::from_samples([(Pc(2), 5), (Pc(2), 700)].into_iter(), [].into_iter());
+        let m = StatStackModel {
+            line_bytes: 64,
+            base: Arc::new(base),
+            delta,
+        };
+        let mut rng = XorShift64Star::new(9);
+        let sizes = probe_sizes(&m, &mut rng);
+        for &lines in &sizes {
+            m.distance_threshold(lines);
+            let mr = m.miss_ratio(lines);
+            assert!((0.0..=1.0).contains(&mr), "MR({lines}) = {mr}");
+        }
+        let bytes: Vec<u64> = (1..=16u64).map(|i| i << 20).collect();
+        assert!(m.pc_mrc_bytes(Pc(1), &bytes).is_some());
     }
 
     #[test]
