@@ -4,8 +4,9 @@
 //! takes less than a minute"; this implementation fits in milliseconds).
 //!
 //! A plain `std::time` harness (`harness = false`): the container has no
-//! external benchmarking crates, and min-of-N wall-clock is enough to
-//! track the order-of-magnitude claims these numbers back.
+//! external benchmarking crates, and min-of-N wall-clock per call, each
+//! sample a batch of calls at least 1 ms long, is enough to track the
+//! claims these numbers back.
 
 use repf_cache::{CacheConfig, FunctionalCacheSim, MemorySystem};
 use repf_core::analyze;
@@ -19,16 +20,32 @@ use std::time::{Duration, Instant};
 
 const N_REFS: u64 = 200_000;
 
-/// Time `f` (1 warmup + up to 10 samples within a 3 s budget) and print
-/// min/mean, plus per-element throughput when `elems > 0`.
+/// The shortest sample: a sample times a batch of calls at least this
+/// long, so microsecond rows are not lost in timer and scheduling noise.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
+/// Wall time of `calls` back-to-back calls of `f`.
+fn time_batch<T>(calls: u32, f: &mut impl FnMut() -> T) -> Duration {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        std::hint::black_box(f());
+    }
+    t0.elapsed()
+}
+
+/// Time `f` and print min/mean per call in ms to the nanosecond, plus
+/// per-element throughput when `elems > 0`. The batch size doubles from
+/// one call until a batch takes [`MIN_SAMPLE`] (those batches are the
+/// warmup); then up to 10 samples of that batch run within a 3 s budget.
 fn bench<T>(group: &str, name: &str, elems: u64, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f());
+    let mut calls = 1u32;
+    while time_batch(calls, &mut f) < MIN_SAMPLE {
+        calls *= 2;
+    }
     let mut times = Vec::new();
     let budget = Instant::now();
     while times.len() < 10 && budget.elapsed() < Duration::from_secs(3) {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed().as_secs_f64());
+        times.push(time_batch(calls, &mut f).as_secs_f64() / f64::from(calls));
     }
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
@@ -38,7 +55,7 @@ fn bench<T>(group: &str, name: &str, elems: u64, mut f: impl FnMut() -> T) {
         String::new()
     };
     println!(
-        "{group}/{name}: min {:10.4} ms  mean {:10.4} ms  ({} samples){rate}",
+        "{group}/{name}: min {:12.6} ms  mean {:12.6} ms  ({} samples of {calls} calls){rate}",
         min * 1e3,
         mean * 1e3,
         times.len()

@@ -14,10 +14,10 @@
 //!
 //! * [`proto`] — the versioned, length-prefixed frame format and every
 //!   request/response type, with exact-consumption decoding.
-//! * [`session`] — the LRU-evicting per-session profile store with a
-//!   hard byte budget, sharded by session-name hash into independently
-//!   locked slices with per-session cached StatStack fits (versioned
-//!   invalidation, incremental refits).
+//! * [`session`] — the per-session profile store with a hard byte
+//!   budget and W-TinyLFU admission, sharded by session-name hash into
+//!   independently locked slices with per-session cached StatStack fits
+//!   (versioned invalidation, incremental refits).
 //! * [`server`] — the daemon: a readiness-polled epoll event loop over
 //!   a bounded worker-pool request queue with `Busy` shedding, a
 //!   `max_conns` accept cap, per-connection timeouts, malformed input
@@ -60,7 +60,7 @@ pub mod replay;
 pub mod ring;
 pub mod server;
 pub mod session;
-pub mod tinylfu;
+mod tinylfu;
 pub mod trace_file;
 
 pub use client::{Client, ClientError};
@@ -83,8 +83,6 @@ pub use replay::{
 };
 pub use server::{start, ServeConfig, ServerHandle};
 pub use session::{
-    SessionExport, ShardStats, ShardedSessionStore, SessionStore, StorePolicy, SubmitOutcome,
-    SubmitRejected,
+    SessionExport, ShardStats, ShardedSessionStore, SubmitOutcome, SubmitRejected,
 };
-pub use tinylfu::{Doorkeeper, FreqSketch, TinyLfu};
 pub use trace_file::{Trace, TraceError, TraceRecorder, TRACE_MAGIC, TRACE_VERSION};

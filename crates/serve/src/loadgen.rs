@@ -64,9 +64,9 @@ pub enum OpMix {
     Scan,
     /// The query-heavy mix polluted by a 10% stream of one-shot submits
     /// to never-queried `churn-c{i}` sessions — the cache-pollution
-    /// workload the store-policy comparison is built on: under a tight
-    /// byte budget an LRU store lets the churn evict the zipf-hot
-    /// working set, an admission-filtered store refuses it.
+    /// workload for the store's admission filter: under a tight byte
+    /// budget a recency-only store would let the churn evict the
+    /// zipf-hot working set; W-TinyLFU admission refuses it.
     ScanChurn,
 }
 
@@ -307,9 +307,9 @@ pub fn generate_ops(cfg: &LoadConfig) -> Vec<Op> {
                 // Deliberately no plain `Submit` arm: the zipf-hot
                 // working set is preloaded once and never grows, so the
                 // only byte pressure on the store is the churn stream —
-                // a hot session a policy evicts is lost for the rest of
-                // the run, exactly the pollution cost the store-policy
-                // A/B measures.
+                // a hot session the store evicts is lost for the rest of
+                // the run, exactly the pollution cost admission is there
+                // to prevent.
                 if roll < 10 {
                     OpKind::ChurnSubmit { id: i as u32 }
                 } else if roll < 85 {
@@ -435,8 +435,8 @@ pub struct LoadReport {
     pub busy: u64,
     /// `UnknownSession` answers to query ops: the session existed at
     /// preload but the store has since evicted it. A *session-store
-    /// miss*, not a client error — the store-policy comparison is built
-    /// on this count.
+    /// miss*, not a client error — the store's hit ratio under churn is
+    /// built on this count.
     pub unknown: u64,
     /// Query ops (MRC / per-PC MRC) answered from a live session.
     pub query_hits: u64,
@@ -469,9 +469,9 @@ pub struct ServerStatsDelta {
     pub model_cache_hits: u64,
     /// `model_cache.misses` delta.
     pub model_cache_misses: u64,
-    /// `store.admission.accepted` delta (0 under the LRU policy).
+    /// `store.admission.accepted` delta.
     pub admission_accepted: u64,
-    /// `store.admission.rejected` delta (0 under the LRU policy).
+    /// `store.admission.rejected` delta.
     pub admission_rejected: u64,
 }
 

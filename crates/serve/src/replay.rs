@@ -625,9 +625,6 @@ impl Oracle {
 pub struct ReplayConfig {
     /// Partition-hash seed for session→node routing.
     pub seed: u64,
-    /// Bit-compare deterministic responses against the oracle. Off, the
-    /// replay only type-checks responses (the overhead baseline).
-    pub check: bool,
     /// Per-call client timeout.
     pub timeout: Duration,
 }
@@ -636,7 +633,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             seed: 0,
-            check: true,
             timeout: Duration::from_secs(30),
         }
     }
@@ -803,17 +799,15 @@ fn body(resp: &Response) -> Vec<u8> {
 /// and divergence capture. The caller owns routing.
 struct ReplayCore<'a> {
     trace: &'a Trace,
-    cfg: &'a ReplayConfig,
     oracle: Oracle,
     history: FxHashMap<String, Vec<usize>>,
     report: ReplayReport,
 }
 
 impl<'a> ReplayCore<'a> {
-    fn new(trace: &'a Trace, cfg: &'a ReplayConfig, nodes: usize) -> Self {
+    fn new(trace: &'a Trace, nodes: usize) -> Self {
         ReplayCore {
             trace,
-            cfg,
             oracle: Oracle::new(),
             history: FxHashMap::default(),
             report: ReplayReport {
@@ -850,9 +844,6 @@ impl<'a> ReplayCore<'a> {
         }
         if digestible(&resp) && !matches!(req, Request::Stats) {
             fnv1a(&mut self.report.digest, &body(&resp));
-        }
-        if !self.cfg.check {
-            return Ok(());
         }
         let mut diverge = |reason: &'static str, got: Vec<u8>, want: Vec<u8>| {
             let first_diff = got
@@ -929,7 +920,7 @@ pub fn replay_against(
         c.set_timeout(Some(cfg.timeout))?;
         clients.push(c);
     }
-    let mut core = ReplayCore::new(trace, cfg, addrs.len());
+    let mut core = ReplayCore::new(trace, addrs.len());
     for i in 0..trace.records.len() {
         if matches!(trace.records[i], Request::Shutdown) {
             core.report.skipped += 1;
@@ -1004,7 +995,7 @@ pub fn replay_clustered(
             .iter()
             .filter(|c| matches!(c.change, RingChange::Join))
             .count();
-        let mut core = ReplayCore::new(trace, replay_cfg, nodes.len() + joins);
+        let mut core = ReplayCore::new(trace, nodes.len() + joins);
         let mut churn = churn.to_vec();
         churn.sort_by_key(|c| c.at);
         let mut next_churn = 0usize;

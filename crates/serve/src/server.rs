@@ -44,7 +44,7 @@ use crate::metrics::Metrics;
 use crate::poll::{EpollEvent, EventFd, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::proto::{self, ErrorCode, MachineId, ModelWire, Request, Response, SampleBatch, Target};
 use crate::ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
-use crate::session::{ShardedSessionStore, StorePolicy, SubmitRejected};
+use crate::session::{ShardedSessionStore, SubmitRejected};
 use repf_core::analyze_with_model;
 use repf_sim::{amd_phenom_ii, intel_i7_2600k, Exec, PlanCache, SubmitError, WorkerPool};
 use repf_statstack::{CoRunModel, StatStackModel};
@@ -74,8 +74,9 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Bounded request-queue depth; a full queue answers `Busy`.
     pub queue_depth: usize,
-    /// Session-store byte budget (LRU eviction above it), split evenly
-    /// across the shards.
+    /// Session-store byte budget, split evenly across the shards. While
+    /// the store fits it nothing is evicted; past it, W-TinyLFU
+    /// admission decides which sessions stay.
     pub session_budget_bytes: usize,
     /// Session-store shard count (0 counts as 1); submits and queries to
     /// sessions in different shards never contend on a lock.
@@ -106,8 +107,6 @@ pub struct ServeConfig {
     pub cluster_seed: u64,
     /// Virtual nodes per ring member for the initial `--peers` ring.
     pub vnodes: u32,
-    /// Session-store admission/eviction policy.
-    pub store_policy: StorePolicy,
     /// Entry bound on the co-run remote-model cache (cleared wholesale
     /// at the cap). Cache contents never affect response bytes, only
     /// pull traffic, so shrinking this is safe — tests use it to force
@@ -131,7 +130,6 @@ impl Default for ServeConfig {
             advertise: None,
             cluster_seed: DEFAULT_RING_SEED,
             vnodes: DEFAULT_VNODES,
-            store_policy: StorePolicy::Lru,
             remote_model_cache_cap: REMOTE_MODEL_CACHE_CAP,
         }
     }
@@ -172,11 +170,7 @@ impl ServeState {
             ..Default::default()
         };
         Ok(ServeState {
-            sessions: ShardedSessionStore::with_policy(
-                cfg.session_budget_bytes,
-                cfg.shards,
-                cfg.store_policy,
-            ),
+            sessions: ShardedSessionStore::new(cfg.session_budget_bytes, cfg.shards),
             plans_amd: PlanCache::lazy(&amd_phenom_ii(), &opts),
             plans_intel: PlanCache::lazy(&intel_i7_2600k(), &opts),
             metrics: Metrics::new(),
@@ -864,9 +858,8 @@ impl ServeState {
             out.push((format!("sessions.shard.{i}.sessions"), s.sessions as f64));
             out.push((format!("sessions.shard.{i}.evictions"), s.evictions as f64));
         }
-        // Store-policy aggregates: admission/doorkeeper/sketch counters
-        // and per-segment byte gauges (all zero under LRU, where every
-        // byte counts as window).
+        // Store aggregates: admission/doorkeeper/sketch counters and
+        // per-segment byte gauges.
         let sum = |f: fn(&crate::session::ShardStats) -> u64| -> f64 {
             shards.iter().map(f).sum::<u64>() as f64
         };

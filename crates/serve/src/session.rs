@@ -5,7 +5,7 @@
 //!
 //! Two stores live here:
 //!
-//! * [`SessionStore`] — one independently-locked *shard*: an evicting
+//! * `SessionStore` — one independently-locked *shard*: an evicting
 //!   store with its own byte budget, clock, name→index map (O(1)
 //!   lookup) and per-session fitted-model cache keyed on a profile
 //!   version counter.
@@ -13,24 +13,20 @@
 //!   each with a proportional slice of the byte budget, so submits and
 //!   queries to different sessions never contend on one mutex.
 //!
-//! Eviction runs one of two [`StorePolicy`]s:
+//! Eviction is W-TinyLFU admission + segmented eviction: new sessions
+//! enter a small *window* segment (~1% of the shard budget). A window
+//! victim moves into the probation/protected *main* segment while the
+//! store fits its budget; under byte pressure it is admitted only if
+//! its frequency — a 4-bit count-min sketch behind a doorkeeper bloom
+//! filter, see `crate::tinylfu` — beats the main segment's own eviction
+//! candidate, so a burst of one-shot sessions cannot flush the hot
+//! working set. Reads record frequency through a lock-free striped
+//! buffer drained in batches under the shard lock the lookup already
+//! holds, never an extra acquisition.
 //!
-//! * [`StorePolicy::Lru`] (default) — plain least-recently-used over
-//!   the whole shard budget.
-//! * [`StorePolicy::TinyLfu`] — W-TinyLFU admission + segmented
-//!   eviction: new sessions enter a small *window* segment (~1% of the
-//!   shard budget); a window victim is admitted into the
-//!   probation/protected *main* segment only if its frequency — a 4-bit
-//!   count-min sketch behind a doorkeeper bloom filter, see
-//!   [`crate::tinylfu`] — beats the main segment's own eviction
-//!   candidate, so a burst of one-shot sessions cannot flush the hot
-//!   working set. Reads record frequency through a lock-free striped
-//!   buffer drained in batches under the shard lock the lookup already
-//!   holds, never an extra acquisition.
-//!
-//! Under either policy nothing is evicted or refused while the store
-//! fits its budget — replay's oracle never evicts, so per-policy replay
-//! digests stay node-count-invariant.
+//! While the store fits its budget nothing is evicted or refused —
+//! replay's oracle never evicts, so replay digests stay
+//! node-count-invariant.
 //!
 //! Model caching: every submit bumps the session's version; a query
 //! either reuses the cached [`Arc<StatStackModel>`] (version match — no
@@ -60,46 +56,6 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which admission/eviction policy a session store runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StorePolicy {
-    /// Plain LRU over the whole budget (the original behaviour, and
-    /// still the default).
-    #[default]
-    Lru,
-    /// W-TinyLFU: frequency-sketch admission with window +
-    /// probation/protected segmented eviction.
-    TinyLfu,
-}
-
-impl StorePolicy {
-    pub const ALL: [StorePolicy; 2] = [StorePolicy::Lru, StorePolicy::TinyLfu];
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StorePolicy::Lru => "lru",
-            StorePolicy::TinyLfu => "tinylfu",
-        }
-    }
-}
-
-impl std::str::FromStr for StorePolicy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "lru" => Ok(StorePolicy::Lru),
-            "tinylfu" => Ok(StorePolicy::TinyLfu),
-            other => Err(format!("unknown store policy '{other}' (expected lru|tinylfu)")),
-        }
-    }
-}
-
-impl std::fmt::Display for StorePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// The hash every consumer of a session name agrees on: shard
 /// selection, the frequency sketch, and the striped access buffers all
 /// key off this one FxHash value.
@@ -118,7 +74,7 @@ fn profile_bytes(p: &Profile) -> usize {
         + p.strides.len() * std::mem::size_of::<StrideSample>()
 }
 
-/// Which W-TinyLFU segment an entry lives in (ignored under LRU).
+/// Which W-TinyLFU segment an entry lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Segment {
     /// New arrivals; ~1% of the shard budget.
@@ -133,7 +89,6 @@ struct SessionEntry {
     name: String,
     /// `name_hash(name)` — the sketch/doorkeeper key.
     hash: u64,
-    /// W-TinyLFU segment membership (always `Window` under LRU).
     segment: Segment,
     profile: Profile,
     /// Samples submitted since the last fit.
@@ -145,47 +100,6 @@ struct SessionEntry {
     cached: Option<(u64, Arc<StatStackModel>)>,
     bytes: usize,
     last_used: u64,
-}
-
-/// The per-shard W-TinyLFU state: the admission filter plus segment
-/// byte accounting and the admission counters surfaced through `Stats`.
-struct LfuState {
-    filter: TinyLfu,
-    /// Byte budget of the window segment (~1% of the shard budget,
-    /// clamped to [1 KiB, budget]).
-    window_budget: usize,
-    /// Byte budget of the protected segment (80% of main).
-    protected_budget: usize,
-    window_bytes: usize,
-    probation_bytes: usize,
-    protected_bytes: usize,
-    admitted: u64,
-    rejected: u64,
-}
-
-impl LfuState {
-    fn new(budget_bytes: usize) -> Self {
-        let window_budget = (budget_bytes / 100).clamp(1024.min(budget_bytes), budget_bytes);
-        let main_budget = budget_bytes - window_budget;
-        LfuState {
-            filter: TinyLfu::for_budget(budget_bytes),
-            window_budget,
-            protected_budget: main_budget / 5 * 4,
-            window_bytes: 0,
-            probation_bytes: 0,
-            protected_bytes: 0,
-            admitted: 0,
-            rejected: 0,
-        }
-    }
-
-    fn seg_bytes_mut(&mut self, seg: Segment) -> &mut usize {
-        match seg {
-            Segment::Window => &mut self.window_bytes,
-            Segment::Probation => &mut self.probation_bytes,
-            Segment::Protected => &mut self.protected_bytes,
-        }
-    }
 }
 
 /// Extra frequency credit for an imported session that carries a
@@ -231,19 +145,16 @@ pub enum SubmitRejected {
     ZeroLineBytes,
 }
 
-/// An LRU-evicting session store with a hard byte budget — one shard of
-/// a [`ShardedSessionStore`], usable standalone as the 1-shard store.
+/// A W-TinyLFU session store with a hard byte budget — one shard of a
+/// [`ShardedSessionStore`].
 ///
-/// Eviction happens on submit: after a batch is appended, least-recently
-/// *used* sessions (submits and queries both refresh recency) are dropped
-/// until the store fits the budget again. The session just written is
-/// evicted only if it alone exceeds the whole budget, so the invariant
-/// `bytes() ≤ budget` holds unconditionally after every operation.
-pub struct SessionStore {
+/// Eviction happens on submit: after a batch is appended, window
+/// overflow passes through the admission filter and main victims are
+/// dropped until the store fits the budget again (submits and queries
+/// both refresh recency and frequency). The invariant `bytes() ≤ budget`
+/// holds unconditionally after every operation.
+pub(crate) struct SessionStore {
     budget_bytes: usize,
-    policy: StorePolicy,
-    /// W-TinyLFU state; `Some` iff `policy == TinyLfu`.
-    lfu: Option<Box<LfuState>>,
     entries: Vec<SessionEntry>,
     /// Name → index into `entries`, maintained across `swap_remove`.
     index: FxHashMap<String, usize>,
@@ -267,6 +178,19 @@ pub struct SessionStore {
     evictions: u64,
     model_hits: u64,
     model_misses: u64,
+    /// The admission filter.
+    filter: TinyLfu,
+    /// Byte budget of the window segment (~1% of the shard budget,
+    /// clamped to [1 KiB, budget]).
+    window_budget: usize,
+    /// Byte budget of the protected segment (80% of main).
+    protected_budget: usize,
+    window_bytes: usize,
+    probation_bytes: usize,
+    protected_bytes: usize,
+    /// Window victims admitted into main / refused by the filter.
+    admitted: u64,
+    rejected: u64,
 }
 
 /// Tombstones beyond this count evict the *oldest* ones first (FIFO) —
@@ -276,22 +200,13 @@ pub struct SessionStore {
 const MAX_TOMBSTONES: usize = 4096;
 
 impl SessionStore {
-    /// An empty LRU store with the given byte budget (clamped to ≥ 1 so
-    /// a zero budget means "keep nothing", not "unbounded").
+    /// An empty store with the given byte budget (clamped to ≥ 1 so a
+    /// zero budget means "keep nothing", not "unbounded").
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_policy(budget_bytes, StorePolicy::Lru)
-    }
-
-    /// An empty store running `policy`.
-    pub fn with_policy(budget_bytes: usize, policy: StorePolicy) -> Self {
         let budget_bytes = budget_bytes.max(1);
+        let window_budget = (budget_bytes / 100).clamp(1024.min(budget_bytes), budget_bytes);
         SessionStore {
             budget_bytes,
-            policy,
-            lfu: match policy {
-                StorePolicy::Lru => None,
-                StorePolicy::TinyLfu => Some(Box::new(LfuState::new(budget_bytes))),
-            },
             entries: Vec::new(),
             index: FxHashMap::default(),
             tombstones: FxHashMap::default(),
@@ -303,12 +218,23 @@ impl SessionStore {
             evictions: 0,
             model_hits: 0,
             model_misses: 0,
+            filter: TinyLfu::for_budget(budget_bytes),
+            window_budget,
+            protected_budget: (budget_bytes - window_budget) / 5 * 4,
+            window_bytes: 0,
+            probation_bytes: 0,
+            protected_bytes: 0,
+            admitted: 0,
+            rejected: 0,
         }
     }
 
-    /// The policy this store runs.
-    pub fn policy(&self) -> StorePolicy {
-        self.policy
+    fn seg_bytes_mut(&mut self, seg: Segment) -> &mut usize {
+        match seg {
+            Segment::Window => &mut self.window_bytes,
+            Segment::Probation => &mut self.probation_bytes,
+            Segment::Protected => &mut self.protected_bytes,
+        }
     }
 
     fn tick(&mut self) -> u64 {
@@ -337,9 +263,7 @@ impl SessionStore {
         let seg = self.entries[ix].segment;
         let e = self.remove_at(ix);
         self.bytes -= e.bytes;
-        if let Some(lfu) = &mut self.lfu {
-            *lfu.seg_bytes_mut(seg) -= e.bytes;
-        }
+        *self.seg_bytes_mut(seg) -= e.bytes;
         e
     }
 
@@ -348,18 +272,15 @@ impl SessionStore {
         self.evictions += 1;
     }
 
-    /// Record one access of `hash` in the admission filter (no-op under
-    /// LRU). The sharded store feeds this from the striped read buffers
-    /// and from submits.
+    /// Record one access of `hash` in the admission filter. The sharded
+    /// store feeds this from the striped read buffers and from submits.
     pub fn record_access(&mut self, hash: u64) {
-        if let Some(lfu) = &mut self.lfu {
-            lfu.filter.record(hash);
-        }
+        self.filter.record(hash);
     }
 
-    /// Refresh `ix`'s recency; under W-TinyLFU a touched probation
-    /// entry is promoted to protected (demoting the protected LRU back
-    /// to probation if the protected segment overflows).
+    /// Refresh `ix`'s recency; a touched probation entry is promoted to
+    /// protected (demoting the protected LRU back to probation if the
+    /// protected segment overflows).
     fn touch(&mut self, ix: usize) {
         let now = self.tick();
         self.entries[ix].last_used = now;
@@ -370,15 +291,11 @@ impl SessionStore {
     /// probation entry moves to protected; protected overflow demotes
     /// its LRU back to probation.
     fn promote_if_probation(&mut self, ix: usize) {
-        if self.lfu.is_none() || self.entries[ix].segment != Segment::Probation {
+        if self.entries[ix].segment != Segment::Probation {
             return;
         }
         self.move_segment(ix, Segment::Protected);
-        loop {
-            let lfu = self.lfu.as_ref().unwrap();
-            if lfu.protected_bytes <= lfu.protected_budget {
-                break;
-            }
+        while self.protected_bytes > self.protected_budget {
             let Some(demote) = self.lru_victim_in(Segment::Protected) else {
                 break;
             };
@@ -396,10 +313,8 @@ impl SessionStore {
         }
         let bytes = self.entries[ix].bytes;
         self.entries[ix].segment = to;
-        if let Some(lfu) = &mut self.lfu {
-            *lfu.seg_bytes_mut(from) -= bytes;
-            *lfu.seg_bytes_mut(to) += bytes;
-        }
+        *self.seg_bytes_mut(from) -= bytes;
+        *self.seg_bytes_mut(to) += bytes;
     }
 
     fn lru_victim_in(&self, seg: Segment) -> Option<usize> {
@@ -418,17 +333,13 @@ impl SessionStore {
             .or_else(|| self.lru_victim_in(Segment::Protected))
     }
 
-    /// W-TinyLFU rebalance after any growth: first migrate window
-    /// overflow into main through the admission filter, then — if the
-    /// store is still over budget (an entry already in main grew) —
-    /// evict main victims outright. Nothing happens while the store
-    /// fits its budget *and* the window fits its slice.
-    fn rebalance_tinylfu(&mut self, evicted: &mut u32) {
-        loop {
-            let lfu = self.lfu.as_ref().unwrap();
-            if lfu.window_bytes <= lfu.window_budget {
-                break;
-            }
+    /// Rebalance after any growth: first migrate window overflow into
+    /// main through the admission filter, then — if the store is still
+    /// over budget (an entry already in main grew) — evict main victims
+    /// outright. While the store fits its budget this only moves window
+    /// overflow into main; it never evicts.
+    fn rebalance(&mut self, evicted: &mut u32) {
+        while self.window_bytes > self.window_budget {
             let Some(w) = self.lru_victim_in(Segment::Window) else {
                 break;
             };
@@ -444,19 +355,20 @@ impl SessionStore {
         }
     }
 
-    /// Try to move the window victim at `w` into probation: free main
-    /// space by evicting main victims the window victim's sketch
-    /// frequency beats; the first main victim it cannot beat wins, and
-    /// the window victim is evicted instead (admission rejected).
+    /// Try to move the window victim at `w` into probation. It moves
+    /// while the store fits its budget or main has room for it; past
+    /// that, free main space by evicting main victims the window
+    /// victim's sketch frequency beats; the first main victim it cannot
+    /// beat wins, and the window victim is evicted instead (admission
+    /// rejected).
     fn admit_window_victim(&mut self, mut w: usize, evicted: &mut u32) {
-        let lfu = self.lfu.as_ref().unwrap();
-        let main_budget = self.budget_bytes - lfu.window_budget;
+        let main_budget = self.budget_bytes - self.window_budget;
         loop {
-            let lfu = self.lfu.as_ref().unwrap();
-            let main_bytes = lfu.probation_bytes + lfu.protected_bytes;
-            if main_bytes + self.entries[w].bytes <= main_budget {
+            let store_fits = self.bytes <= self.budget_bytes;
+            let main_bytes = self.probation_bytes + self.protected_bytes;
+            if store_fits || main_bytes + self.entries[w].bytes <= main_budget {
                 self.move_segment(w, Segment::Probation);
-                self.lfu.as_mut().unwrap().admitted += 1;
+                self.admitted += 1;
                 return;
             }
             let Some(m) = self.main_victim() else {
@@ -464,11 +376,11 @@ impl SessionStore {
                 // budget: nothing to compare against, drop it.
                 self.evict_at(w);
                 *evicted += 1;
-                self.lfu.as_mut().unwrap().rejected += 1;
+                self.rejected += 1;
                 return;
             };
-            let wf = lfu.filter.frequency(self.entries[w].hash);
-            let mf = lfu.filter.frequency(self.entries[m].hash);
+            let wf = self.filter.frequency(self.entries[w].hash);
+            let mf = self.filter.frequency(self.entries[m].hash);
             if wf > mf {
                 // `swap_remove` may relocate the last entry into `m`.
                 let last = self.entries.len() - 1;
@@ -480,17 +392,15 @@ impl SessionStore {
             } else {
                 self.evict_at(w);
                 *evicted += 1;
-                self.lfu.as_mut().unwrap().rejected += 1;
+                self.rejected += 1;
                 return;
             }
         }
     }
 
     /// Append a batch to `name`'s profile, creating the session on
-    /// first use, then evict sessions per the store's policy until the
-    /// store fits its budget (LRU: least-recently-used across the whole
-    /// store; W-TinyLFU: window overflow through the admission filter,
-    /// then main victims).
+    /// first use, then rebalance until the store fits its budget: window
+    /// overflow through the admission filter, then main victims.
     pub fn submit(
         &mut self,
         name: &str,
@@ -522,9 +432,7 @@ impl SessionStore {
                     last_used: now,
                 });
                 self.bytes += SESSION_OVERHEAD_BYTES + name.len();
-                if let Some(lfu) = &mut self.lfu {
-                    lfu.window_bytes += SESSION_OVERHEAD_BYTES + name.len();
-                }
+                self.window_bytes += SESSION_OVERHEAD_BYTES + name.len();
                 let ix = self.entries.len() - 1;
                 self.index.insert(name.to_string(), ix);
                 ix
@@ -548,31 +456,14 @@ impl SessionStore {
         entry.last_used = now;
         let seg = entry.segment;
         self.bytes += grown;
-        if let Some(lfu) = &mut self.lfu {
-            *lfu.seg_bytes_mut(seg) += grown;
-        }
+        *self.seg_bytes_mut(seg) += grown;
         self.record_access(hash);
         // A re-submitted session is being reused: promote it like any
         // other access.
         self.promote_if_probation(ix);
 
         let mut evicted = 0u32;
-        match self.policy {
-            StorePolicy::Lru => {
-                while self.bytes > self.budget_bytes && !self.entries.is_empty() {
-                    let victim = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    self.evict_at(victim);
-                    evicted += 1;
-                }
-            }
-            StorePolicy::TinyLfu => self.rebalance_tinylfu(&mut evicted),
-        }
+        self.rebalance(&mut evicted);
         Ok(SubmitOutcome {
             store_bytes: self.bytes as u64,
             evicted,
@@ -581,6 +472,7 @@ impl SessionStore {
 
     /// The profile of `name`, refreshing its recency. `None` when the
     /// session does not exist (never created, or evicted).
+    #[cfg(test)]
     pub fn get(&mut self, name: &str) -> Option<&Profile> {
         let ix = self.index_of(name)?;
         self.touch(ix);
@@ -644,11 +536,6 @@ impl SessionStore {
         self.entries.len()
     }
 
-    /// `true` when no session is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total sessions evicted over the store's lifetime.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -664,41 +551,37 @@ impl SessionStore {
         self.model_misses
     }
 
-    /// Window victims admitted into the main segment (0 under LRU).
+    /// Window victims admitted into the main segment.
     pub fn admission_accepted(&self) -> u64 {
-        self.lfu.as_ref().map_or(0, |l| l.admitted)
+        self.admitted
     }
 
-    /// Window victims rejected by the admission filter (0 under LRU).
+    /// Window victims rejected by the admission filter.
     pub fn admission_rejected(&self) -> u64 {
-        self.lfu.as_ref().map_or(0, |l| l.rejected)
+        self.rejected
     }
 
-    /// One-hit wonders absorbed by the doorkeeper (0 under LRU).
+    /// One-hit wonders absorbed by the doorkeeper.
     pub fn doorkeeper_hits(&self) -> u64 {
-        self.lfu.as_ref().map_or(0, |l| l.filter.doorkeeper_hits())
+        self.filter.doorkeeper_hits()
     }
 
-    /// Frequency-sketch halving resets performed (0 under LRU).
+    /// Frequency-sketch halving resets performed.
     pub fn sketch_resets(&self) -> u64 {
-        self.lfu.as_ref().map_or(0, |l| l.filter.sketch_resets())
+        self.filter.sketch_resets()
     }
 
     /// Bytes held per segment as (window, probation, protected).
-    /// Under LRU everything counts as window.
     pub fn segment_bytes(&self) -> (u64, u64, u64) {
-        match &self.lfu {
-            Some(l) => (
-                l.window_bytes as u64,
-                l.probation_bytes as u64,
-                l.protected_bytes as u64,
-            ),
-            None => (self.bytes as u64, 0, 0),
-        }
+        (
+            self.window_bytes as u64,
+            self.probation_bytes as u64,
+            self.protected_bytes as u64,
+        )
     }
 
     /// True when `name` is live, *without* refreshing recency — routing
-    /// probes must not distort the LRU order.
+    /// probes must not distort the recency order.
     pub fn contains(&self, name: &str) -> bool {
         self.index.contains_key(name)
     }
@@ -776,7 +659,7 @@ impl SessionStore {
     /// the exporter's value; when `model` is present it is published as
     /// the cached fit for that version, so the importer never refits
     /// (otherwise the full batch is staged as pending for the next
-    /// query's fit). LRU eviction applies as for submits.
+    /// query's fit). Admission and eviction apply as for submits.
     pub fn import(
         &mut self,
         name: &str,
@@ -791,7 +674,7 @@ impl SessionStore {
             self.detach_at(ix);
         }
         self.tombstones.remove(name);
-        if self.policy == StorePolicy::TinyLfu && model.is_some() {
+        if model.is_some() {
             // A session arriving with a cached fit was hot on the
             // exporter; pre-credit the admission filter so migration
             // under pressure cannot discard the model fleet-wide
@@ -878,15 +761,15 @@ pub struct ShardStats {
     pub model_hits: u64,
     /// Model-cache misses (fits performed).
     pub model_misses: u64,
-    /// Window victims admitted into main (W-TinyLFU; 0 under LRU).
+    /// Window victims admitted into main.
     pub admission_accepted: u64,
-    /// Window victims rejected by the admission filter (0 under LRU).
+    /// Window victims rejected by the admission filter.
     pub admission_rejected: u64,
-    /// One-hit wonders absorbed by the doorkeeper (0 under LRU).
+    /// One-hit wonders absorbed by the doorkeeper.
     pub doorkeeper_hits: u64,
-    /// Frequency-sketch halving resets (0 under LRU).
+    /// Frequency-sketch halving resets.
     pub sketch_resets: u64,
-    /// Bytes in the window segment (all bytes under LRU).
+    /// Bytes in the window segment.
     pub window_bytes: u64,
     /// Bytes in the probation segment.
     pub probation_bytes: u64,
@@ -896,7 +779,8 @@ pub struct ShardStats {
     /// under a lock the drainer already held — the counter that proves
     /// reads never took an extra lock to record frequency.
     pub access_drains: u64,
-    /// Pending accesses lost to ring overwrites (lossy by design).
+    /// Pending accesses lost to ring overwrites, including a push whose
+    /// slot write landed after a drain had passed it (lossy by design).
     pub access_dropped: u64,
 }
 
@@ -905,7 +789,7 @@ struct Shard {
     /// Lock-free mirror of the store's byte gauge, refreshed after every
     /// submit, so aggregate reporting never takes other shards' locks.
     bytes: AtomicU64,
-    /// Pending read accesses awaiting a batched drain (W-TinyLFU only).
+    /// Pending read accesses awaiting a batched drain.
     accesses: AccessBuffer,
     /// Batched drains performed (each under an already-held lock).
     drains: AtomicU64,
@@ -925,43 +809,32 @@ impl Shard {
     }
 }
 
-/// N independently-locked [`SessionStore`] shards selected by session-name
-/// hash. Each shard owns `budget / N` bytes with its own LRU clock, so the
-/// aggregate never exceeds the configured budget while submits and queries
-/// to different sessions proceed without contending on a single mutex.
+/// N independently-locked session-store shards selected by session-name
+/// hash. Each shard owns `budget / N` bytes with its own clock and
+/// admission filter, so the aggregate never exceeds the configured budget
+/// while submits and queries to different sessions proceed without
+/// contending on a single mutex.
 pub struct ShardedSessionStore {
     shards: Vec<Shard>,
-    policy: StorePolicy,
 }
 
 impl ShardedSessionStore {
-    /// An LRU store of `shards` shards splitting `budget_bytes` evenly
+    /// A store of `shards` shards splitting `budget_bytes` evenly
     /// (`shards` is clamped to ≥ 1).
     pub fn new(budget_bytes: usize, shards: usize) -> Self {
-        Self::with_policy(budget_bytes, shards, StorePolicy::Lru)
-    }
-
-    /// A store of `shards` shards running `policy`.
-    pub fn with_policy(budget_bytes: usize, shards: usize, policy: StorePolicy) -> Self {
         let n = shards.max(1);
         let per_shard = budget_bytes / n;
         ShardedSessionStore {
             shards: (0..n)
                 .map(|_| Shard {
-                    store: Mutex::new(SessionStore::with_policy(per_shard, policy)),
+                    store: Mutex::new(SessionStore::new(per_shard)),
                     bytes: AtomicU64::new(0),
                     accesses: AccessBuffer::new(),
                     drains: AtomicU64::new(0),
                     dropped: AtomicU64::new(0),
                 })
                 .collect(),
-            policy,
         }
-    }
-
-    /// The policy every shard runs.
-    pub fn policy(&self) -> StorePolicy {
-        self.policy
     }
 
     /// Number of shards.
@@ -977,13 +850,10 @@ impl ShardedSessionStore {
     /// Record a read access for the admission filter: a lock-free push
     /// into the shard's striped buffer. Returns the shard, and whether
     /// the caller — who is about to take the shard lock for its own
-    /// lookup anyway — should drain the batch. No-op under LRU.
+    /// lookup anyway — should drain the batch.
     fn note_read(&self, name: &str) -> (&Shard, bool) {
         let hash = name_hash(name);
         let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        if self.policy != StorePolicy::TinyLfu {
-            return (shard, false);
-        }
         let out = shard.accesses.push(hash);
         if out.dropped {
             shard.dropped.fetch_add(1, Ordering::Relaxed);
@@ -991,7 +861,7 @@ impl ShardedSessionStore {
         (shard, out.should_drain)
     }
 
-    /// Submit a batch to `name`'s session (see [`SessionStore::submit`]).
+    /// Submit a batch to `name`'s session (see `SessionStore::submit`).
     /// `store_bytes` in the outcome is the aggregate across shards.
     pub fn submit(
         &self,
@@ -1014,17 +884,6 @@ impl ShardedSessionStore {
         })
     }
 
-    /// Run `f` on `name`'s profile under its shard lock (recency
-    /// refreshed). `None` when the session does not exist.
-    pub fn with_profile<R>(&self, name: &str, f: impl FnOnce(&Profile) -> R) -> Option<R> {
-        let (shard, drain) = self.note_read(name);
-        let mut store = shard.store.lock().unwrap();
-        if drain {
-            shard.drain_accesses(&mut store);
-        }
-        store.get(name).map(f)
-    }
-
     /// The cached-or-refitted model of `name` plus the cache-hit flag.
     /// The fit (if any) runs under the shard lock — concurrent queries of
     /// one hot session do one fit, not N — and the returned `Arc` is
@@ -1039,7 +898,7 @@ impl ShardedSessionStore {
     }
 
     /// Run `f` on `name`'s profile and model under the shard lock (see
-    /// [`SessionStore::with_profile_and_model`]).
+    /// `SessionStore::with_profile_and_model`).
     pub fn with_profile_and_model<R>(
         &self,
         name: &str,
@@ -1098,13 +957,13 @@ impl ShardedSessionStore {
             .collect()
     }
 
-    /// Snapshot `name` for migration (see [`SessionStore::export`]).
+    /// Snapshot `name` for migration (see `SessionStore::export`).
     pub fn export(&self, name: &str) -> Option<SessionExport> {
         self.shards[self.shard_of(name)].store.lock().unwrap().export(name)
     }
 
     /// Drop `name` iff still at `version`, leaving a tombstone → `dest`
-    /// (see [`SessionStore::remove_migrated`]).
+    /// (see `SessionStore::remove_migrated`).
     pub fn remove_migrated(&self, name: &str, version: u64, dest: &str) -> bool {
         let shard = &self.shards[self.shard_of(name)];
         let mut store = shard.store.lock().unwrap();
@@ -1113,7 +972,7 @@ impl ShardedSessionStore {
         ok
     }
 
-    /// Install a migrated session (see [`SessionStore::import`]).
+    /// Install a migrated session (see `SessionStore::import`).
     pub fn import(
         &self,
         name: &str,
@@ -1146,7 +1005,7 @@ impl ShardedSessionStore {
     }
 
     /// The cached fit for `name` iff it covers exactly `version` (see
-    /// [`SessionStore::cached_model_at`]).
+    /// `SessionStore::cached_model_at`).
     pub fn cached_model_at(&self, name: &str, version: u64) -> Option<Arc<StatStackModel>> {
         self.shards[self.shard_of(name)]
             .store
@@ -1156,7 +1015,7 @@ impl ShardedSessionStore {
     }
 
     /// Publish a remotely-fitted model for `name` at `version` (see
-    /// [`SessionStore::install_model`]).
+    /// `SessionStore::install_model`).
     pub fn install_model(&self, name: &str, version: u64, model: Arc<StatStackModel>) -> bool {
         self.shards[self.shard_of(name)]
             .store
@@ -1240,17 +1099,38 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_enforced_with_lru_eviction() {
-        // Each 100-reuse batch is ~4 kB(+overhead); budget fits ~3.
+    fn budget_is_enforced_by_refusing_newcomers_no_more_frequent() {
+        // Each 100-reuse batch is ~3.5 kB with overhead; budget fits 4.
         let mut s = SessionStore::new(16 << 10);
         for name in ["a", "b", "c", "d", "e"] {
             s.submit(name, batch(100)).unwrap();
             assert!(s.bytes() <= s.budget_bytes(), "invariant after {name}");
         }
-        assert!(s.evictions() > 0, "pressure must evict");
-        // "a" was least recently used → gone; "e" just written → alive.
-        assert!(s.get("a").is_none());
-        assert!(s.get("e").is_some());
+        assert_eq!(s.evictions(), 1, "pressure must evict");
+        assert_eq!(s.admission_rejected(), 1);
+        // "e" is seen once, like the oldest resident "a": the filter
+        // keeps "a" and refuses the newcomer.
+        assert!(s.get("a").is_some());
+        assert!(s.get("e").is_none());
+    }
+
+    #[test]
+    fn a_store_that_fits_its_budget_admits_the_window_victim() {
+        // `b` overflows the window and does not fit main's 99 % slice
+        // next to `a`, but the whole store, `b` included, fits the
+        // budget: it is admitted, not compared with `a` and refused.
+        let mut s = SessionStore::new(100_000);
+        s.submit("a", batch(3069)).unwrap();
+        assert_eq!(s.bytes(), 98_465);
+        assert_eq!(
+            s.submit("b", batch(30)).unwrap(),
+            SubmitOutcome {
+                store_bytes: 99_682,
+                evicted: 0
+            }
+        );
+        assert!(s.contains("a") && s.contains("b"));
+        assert_eq!((s.evictions(), s.admission_rejected()), (0, 0));
     }
 
     #[test]
@@ -1274,7 +1154,7 @@ mod tests {
         let out = s.submit("huge", batch(1000)).unwrap();
         assert_eq!(out.store_bytes, 0, "store never exceeds budget");
         assert!(s.get("huge").is_none());
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]
@@ -1514,7 +1394,7 @@ mod tests {
                 "imports keep the version"
             );
             assert!(b.contains(name));
-            b.with_profile(name, |p| assert_eq!(p.reuse.len(), 10 + i)).unwrap();
+            assert_eq!(b.model(name).unwrap().0.sample_count(), 10 + i as u64);
         }
     }
 
@@ -1552,7 +1432,7 @@ mod tests {
         let s = ShardedSessionStore::new(48 << 10, 4);
         s.submit("hot", batch(100)).unwrap();
         // Hammer "hot" with queries while flooding its own shard with
-        // fresh sessions; recency must keep it alive within its shard.
+        // fresh sessions; its frequency must keep it alive in its shard.
         let shard = s.shard_of("hot");
         let mut flooded = 0;
         let mut i = 0;
@@ -1562,21 +1442,21 @@ mod tests {
             if s.shard_of(&name) != shard {
                 continue;
             }
-            s.with_profile("hot", |_| ()).expect("hot stays live");
+            s.model("hot").expect("hot stays live");
             s.submit(&name, batch(100)).unwrap();
             flooded += 1;
         }
-        assert!(s.with_profile("hot", |_| ()).is_some(), "hottest survives");
+        assert!(s.model("hot").is_some(), "hottest survives");
         assert!(s.evictions() > 0, "flooding the shard evicted colder ones");
         assert!(s.bytes() <= s.budget_bytes() as u64);
     }
 
     #[test]
-    fn tinylfu_under_budget_never_evicts_or_rejects() {
+    fn under_budget_never_evicts_or_rejects() {
         // Replay-safety: while the store fits its budget, admission
         // must be invisible — no eviction, no rejection, every session
-        // answerable — or per-policy replay digests would diverge.
-        let mut s = SessionStore::with_policy(1 << 20, StorePolicy::TinyLfu);
+        // answerable — or replay digests would diverge from the oracle.
+        let mut s = SessionStore::new(1 << 20);
         for name in ["a", "b", "c", "d", "e", "f"] {
             s.submit(name, batch(50)).unwrap();
         }
@@ -1592,24 +1472,17 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_protects_hot_session_from_one_shot_flood_where_lru_loses_it() {
-        // Same operation sequence on both policies: build up one hot
-        // session, then flood with one-shot sessions that together
-        // exceed the budget several times over. LRU flushes the hot
-        // session; W-TinyLFU's admission filter keeps it.
-        let run = |policy: StorePolicy| {
-            let mut s = SessionStore::with_policy(16 << 10, policy);
-            for _ in 0..3 {
-                s.submit("hot", batch(100)).unwrap();
-            }
-            for i in 0..20 {
-                s.submit(&format!("flood-{i}"), batch(100)).unwrap();
-            }
-            s
-        };
-        let mut lru = run(StorePolicy::Lru);
-        assert!(lru.get("hot").is_none(), "LRU loses the hot session to the flood");
-        let mut lfu = run(StorePolicy::TinyLfu);
+    fn admission_protects_hot_session_from_one_shot_flood() {
+        // Build up one hot session, then flood with one-shot sessions
+        // that together exceed the budget several times over: the
+        // admission filter keeps the hot session.
+        let mut lfu = SessionStore::new(16 << 10);
+        for _ in 0..3 {
+            lfu.submit("hot", batch(100)).unwrap();
+        }
+        for i in 0..20 {
+            lfu.submit(&format!("flood-{i}"), batch(100)).unwrap();
+        }
         assert!(lfu.get("hot").is_some(), "admission keeps the hot session");
         assert!(lfu.admission_rejected() > 0, "one-shots were turned away");
         assert!(lfu.evictions() > 0, "rejected window victims count as evictions");
@@ -1619,7 +1492,7 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_import_with_model_beats_admission_where_plain_import_fails() {
+    fn import_with_model_beats_admission_where_plain_import_fails() {
         // A fitted model travels with a migrating session; the importer
         // must not let its admission filter discard what fleet-wide
         // fit-at-most-once just paid to ship.
@@ -1630,7 +1503,7 @@ mod tests {
         assert!(ex.model.is_some());
 
         let setup = || {
-            let mut s = SessionStore::with_policy(16 << 10, StorePolicy::TinyLfu);
+            let mut s = SessionStore::new(16 << 10);
             for _ in 0..3 {
                 s.submit("resident", batch(100)).unwrap();
             }
@@ -1657,8 +1530,8 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_probation_promotes_to_protected_on_touch() {
-        let mut s = SessionStore::with_policy(64 << 10, StorePolicy::TinyLfu);
+    fn probation_promotes_to_protected_on_touch() {
+        let mut s = SessionStore::new(64 << 10);
         s.submit("a", batch(100)).unwrap(); // window → probation (overflow)
         let (_, p0, pr0) = s.segment_bytes();
         assert!(p0 > 0, "first session admitted to probation");
@@ -1691,8 +1564,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tinylfu_batches_read_recording_off_the_hot_path() {
-        let s = ShardedSessionStore::with_policy(1 << 20, 1, StorePolicy::TinyLfu);
+    fn sharded_store_batches_read_recording_off_the_hot_path() {
+        let s = ShardedSessionStore::new(1 << 20, 1);
         s.submit("a", batch(10)).unwrap();
         // A burst of reads records through the striped buffer: drains
         // happen in batches (under the lock each read already held for

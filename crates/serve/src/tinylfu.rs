@@ -52,15 +52,7 @@ const COUNTER_MAX: u64 = 15;
 
 impl FreqSketch {
     /// A sketch with `counters` counters per row (rounded up to a power
-    /// of two, minimum 16) and the conventional sample threshold of
-    /// 10 × counters.
-    pub fn new(counters: usize) -> Self {
-        let c = counters.next_power_of_two().max(16);
-        Self::with_sample(c, 10 * c as u64)
-    }
-
-    /// A sketch with an explicit halving threshold (tests use small
-    /// ones to exercise aging without millions of increments).
+    /// of two, minimum 16) that halves every `sample` increments.
     pub fn with_sample(counters: usize, sample: u64) -> Self {
         let c = counters.next_power_of_two().max(16);
         let words_per_row = c / 16;
@@ -133,6 +125,7 @@ impl FreqSketch {
     }
 
     /// Counters per row (the power-of-two row width).
+    #[cfg(test)]
     pub fn counters_per_row(&self) -> usize {
         (self.mask + 1) as usize
     }
@@ -189,6 +182,7 @@ impl Doorkeeper {
     }
 
     /// Filter size in bits (power of two).
+    #[cfg(test)]
     pub fn num_bits(&self) -> usize {
         (self.mask + 1) as usize
     }
@@ -202,13 +196,6 @@ pub struct TinyLfu {
     door_hits: u64,
 }
 
-/// Default sketch width per shard: 4096 counters/row × 4 rows × 4 bits
-/// = 8 KiB — generous for the session counts a shard's byte budget can
-/// hold, negligible against the budget itself.
-const DEFAULT_COUNTERS: usize = 4096;
-/// Default doorkeeper: 16384 bits = 2 KiB.
-const DEFAULT_DOOR_BITS: usize = 16384;
-
 /// Budget scaling: one sketch counter per this many budget bytes, so
 /// the sketch (counters × 4 rows × 4 bits = 2 bytes/counter) costs
 /// ~0.1% of the shard budget it protects.
@@ -220,19 +207,13 @@ const MIN_COUNTERS: usize = 1024;
 const MAX_COUNTERS: usize = 1 << 22;
 
 impl TinyLfu {
-    /// A filter with the default per-shard sizing.
-    pub fn new() -> Self {
-        Self::with_params(DEFAULT_COUNTERS, 10 * DEFAULT_COUNTERS as u64, DEFAULT_DOOR_BITS)
-    }
-
     /// A filter sized from the shard byte budget it guards: one sketch
     /// counter per [`BYTES_PER_COUNTER`] budget bytes and four
-    /// doorkeeper bits per counter (the same 4:1 ratio as the
-    /// defaults), clamped to `[MIN_COUNTERS, MAX_COUNTERS]`. A larger
-    /// budget holds more sessions, so it gets a proportionally wider
-    /// sketch — fewer collisions at the same ~0.1% memory overhead —
-    /// while the admission rule itself (doorkeeper, estimate
-    /// comparison, halving at 10× width) is unchanged.
+    /// doorkeeper bits per counter, clamped to `[MIN_COUNTERS,
+    /// MAX_COUNTERS]`. A larger budget holds more sessions, so it gets a
+    /// proportionally wider sketch — fewer collisions at the same ~0.1%
+    /// memory overhead — while the admission rule itself (doorkeeper,
+    /// estimate comparison, halving at 10× width) is unchanged.
     pub fn for_budget(budget_bytes: usize) -> Self {
         let c = (budget_bytes / BYTES_PER_COUNTER)
             .clamp(MIN_COUNTERS, MAX_COUNTERS)
@@ -276,32 +257,25 @@ impl TinyLfu {
 
     /// Sketch halving resets performed.
     pub fn sketch_resets(&self) -> u64 {
-        self.resets()
+        self.sketch.resets()
     }
 
     /// Sketch counters per row.
+    #[cfg(test)]
     pub fn sketch_counters(&self) -> usize {
         self.sketch.counters_per_row()
     }
 
     /// Doorkeeper size in bits.
+    #[cfg(test)]
     pub fn doorkeeper_bits(&self) -> usize {
         self.door.num_bits()
-    }
-
-    fn resets(&self) -> u64 {
-        self.sketch.resets()
-    }
-}
-
-impl Default for TinyLfu {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 /// Capacity of a shard's striped access buffer.
 const ACCESS_CAP: usize = 256;
+const _: () = assert!(ACCESS_CAP.is_power_of_two());
 /// A reader that lands on a multiple of this many pushes drains the
 /// buffer under the shard lock it already holds — recording is batched,
 /// never an extra lock acquisition.
@@ -323,9 +297,21 @@ pub struct PushOutcome {
 /// lock they already hold for the lookup itself. Overwrites are lossy
 /// by design (Ristretto-style); zero is the empty sentinel, so a zero
 /// hash is nudged to a fixed non-zero value.
+///
+/// A drain visits only the slots pushed since the previous drain, the
+/// newest [`ACCESS_CAP`] of them at most, so with nothing pending it
+/// reads two counters and returns. A push claims its index before it
+/// writes its slot; if a drain passes the slot in between, that access
+/// stays behind until a later push to the same slot overwrites it
+/// (reported as dropped, like any ring overwrite) or a later drain of
+/// that slot collects it.
 pub struct AccessBuffer {
     slots: Box<[AtomicU64]>,
+    /// Pushes so far: the next push's index, unwrapped.
     head: AtomicUsize,
+    /// `head` as the previous drain read it. Drains run under the shard
+    /// lock, so one thread at a time writes it.
+    drained: AtomicUsize,
 }
 
 impl AccessBuffer {
@@ -333,6 +319,7 @@ impl AccessBuffer {
         AccessBuffer {
             slots: (0..ACCESS_CAP).map(|_| AtomicU64::new(0)).collect(),
             head: AtomicUsize::new(0),
+            drained: AtomicUsize::new(0),
         }
     }
 
@@ -347,25 +334,29 @@ impl AccessBuffer {
         }
     }
 
-    /// Consume every pending access, invoking `f` per hash. Concurrent
-    /// pushes may land after a slot is consumed; they stay for the next
-    /// drain. Returns how many accesses were consumed.
+    /// Consume the accesses pushed since the previous drain, oldest
+    /// first, invoking `f` per hash. Returns how many were consumed.
     pub fn drain(&self, mut f: impl FnMut(u64)) -> usize {
+        // `head` and `drained` are counters that publish no other data;
+        // each slot's hash is handed over by the push's Release swap and
+        // this Acquire swap.
+        let head = self.head.load(Ordering::Relaxed);
+        let pending = head.wrapping_sub(self.drained.load(Ordering::Relaxed));
+        if pending == 0 {
+            return 0;
+        }
+        self.drained.store(head, Ordering::Relaxed);
         let mut n = 0;
-        for slot in self.slots.iter() {
-            let v = slot.swap(0, Ordering::Acquire);
+        // `ACCESS_CAP` is a power of two, so ring positions stay
+        // consistent when `head` wraps.
+        for back in (1..=pending.min(ACCESS_CAP)).rev() {
+            let v = self.slots[head.wrapping_sub(back) % ACCESS_CAP].swap(0, Ordering::Acquire);
             if v != 0 {
                 f(v);
                 n += 1;
             }
         }
         n
-    }
-}
-
-impl Default for AccessBuffer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -602,5 +593,59 @@ mod tests {
         }
         assert_eq!(dropped, ACCESS_CAP, "second lap overwrites the first");
         assert_eq!(buf.drain(|_| {}), ACCESS_CAP);
+    }
+
+    #[test]
+    fn drain_delivers_each_push_once_and_only_the_newest_lap() {
+        let buf = AccessBuffer::new();
+        let mut seen = Vec::new();
+        assert_eq!(
+            buf.drain(|h| seen.push(h)),
+            0,
+            "nothing pushed, nothing delivered"
+        );
+
+        // Every pushed hash is delivered once, oldest first, however the
+        // pushes split across drains.
+        for h in 1..=10u64 {
+            buf.push(h);
+        }
+        assert_eq!(buf.drain(|h| seen.push(h)), 10);
+        for h in 11..=200u64 {
+            buf.push(h);
+        }
+        assert_eq!(buf.drain(|h| seen.push(h)), 190);
+        assert_eq!(seen, (1..=200).collect::<Vec<_>>());
+        assert_eq!(buf.drain(|_| panic!("drained twice")), 0);
+
+        // Past ACCESS_CAP pushes, only the newest ACCESS_CAP are
+        // delivered; the older ones were overwritten and reported.
+        let (first, extra) = (1000u64, 37);
+        let pushes = (ACCESS_CAP + extra) as u64;
+        let dropped = (first..first + pushes)
+            .filter(|&h| buf.push(h).dropped)
+            .count();
+        assert_eq!(dropped, extra);
+        seen.clear();
+        assert_eq!(buf.drain(|h| seen.push(h)), ACCESS_CAP);
+        assert_eq!(
+            seen,
+            (first + extra as u64..first + pushes).collect::<Vec<_>>()
+        );
+
+        // A push that claims its index, loses the race to a drain, then
+        // writes its slot: a drain with nothing pending does not scan
+        // the ring for it, and the next push to that slot reports it.
+        let late = buf.head.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(buf.drain(|_| panic!("the slot is still empty")), 0);
+        buf.slots[late % ACCESS_CAP].store(0xAB, Ordering::Release);
+        assert_eq!(buf.drain(|_| panic!("nothing pushed since")), 0);
+        let lost = (1..=ACCESS_CAP as u64)
+            .filter(|&h| buf.push(h).dropped)
+            .count();
+        assert_eq!(lost, 1, "the late write is counted as dropped");
+        seen.clear();
+        assert_eq!(buf.drain(|h| seen.push(h)), ACCESS_CAP);
+        assert_eq!(seen, (1..=ACCESS_CAP as u64).collect::<Vec<_>>());
     }
 }

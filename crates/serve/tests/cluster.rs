@@ -6,7 +6,7 @@ use repf_sampling::ReuseSample;
 use repf_serve::{
     apply_membership, generate_trace, replay_against, replay_clustered, replay_spawned, start,
     ChurnEvent, Client, ClientError, ErrorCode, GenConfig, LogHisto, ReplayConfig, Request, Ring,
-    RingChange, RingSpec, SampleBatch, ServeConfig, StorePolicy, Target, DEFAULT_VNODES,
+    RingChange, RingSpec, SampleBatch, ServeConfig, Target, DEFAULT_VNODES,
 };
 use repf_trace::{AccessKind, Pc};
 use std::net::SocketAddr;
@@ -613,11 +613,11 @@ fn drain_migrates_models_and_forwards_stragglers() {
 #[test]
 fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
     let a = start(ServeConfig::default()).expect("start a");
-    // Room for one 30-sample session: a second one evicts the first.
+    // Room for one 30-sample session: 60 more samples take it past the
+    // whole budget, which evicts it whatever its frequency.
     let b = start(ServeConfig {
         session_budget_bytes: 2_000,
         shards: 1,
-        store_policy: StorePolicy::Lru,
         ..ServeConfig::default()
     })
     .expect("start b");
@@ -629,22 +629,20 @@ fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
     };
     apply_membership(&members, &spec).expect("install ring");
     let ring = Ring::new(7, DEFAULT_VNODES, members.clone());
-    let on_b: Vec<String> = (0..)
+    let session = &(0..)
         .map(|i| format!("recreated-s{i}"))
-        .filter(|s| ring.owner(s) == Some(members[1].as_str()))
-        .take(2)
-        .collect();
-    let (session, filler) = (&on_b[0], &on_b[1]);
-    // Every reuse at distance `d`: a cache of 64 KiB misses all of them
+        .find(|s| ring.owner(s) == Some(members[1].as_str()))
+        .expect("a name owned by b");
+    // `n` reuses at distance `d`: a cache of 64 KiB misses all of them
     // at d = 1 << 30 and hits all of them at d = 1.
-    let batch_at = |d: u64| {
+    let batch_at = |d: u64, n: u64| {
         let mut batch = SampleBatch {
             total_refs: 1_000_000,
             sample_period: 1009,
             line_bytes: 64,
             ..SampleBatch::default()
         };
-        for i in 0..30u64 {
+        for i in 0..n {
             batch.reuse.push(ReuseSample {
                 start_pc: Pc(100),
                 start_kind: AccessKind::Load,
@@ -664,10 +662,11 @@ fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
     let mut ca = Client::connect(a.addr()).expect("connect a");
     let mut cb = Client::connect(b.addr()).expect("connect b");
 
-    cb.submit_batch(session, batch_at(1 << 30))
+    cb.submit_batch(session, batch_at(1 << 30, 30))
         .expect("first incarnation");
     let old = ca.call_any(&co_run).expect("co-run via a pulls the model");
-    cb.submit_batch(filler, batch_at(1)).expect("filler");
+    cb.submit_batch(session, batch_at(1 << 30, 60))
+        .expect("growth past the budget");
     let gone = cb.query_mrc(Target::Session(session.clone()), vec![64 << 10]);
     assert!(
         matches!(
@@ -677,9 +676,9 @@ fn a_recreated_session_is_not_served_from_the_evicted_ones_pull() {
                 ..
             })
         ),
-        "the filler must evict the session: {gone:?}"
+        "outgrowing the budget must evict the session: {gone:?}"
     );
-    cb.submit_batch(session, batch_at(1))
+    cb.submit_batch(session, batch_at(1, 30))
         .expect("second incarnation");
 
     let via_a = ca.call_any(&co_run).expect("co-run via a");

@@ -388,8 +388,8 @@ fn session_store_budget_holds_under_wire_pressure() {
     let budget = 96 << 10; // fits ~2 synthetic profiles (~45 kB each)
     let handle = start(ServeConfig {
         session_budget_bytes: budget,
-        // One shard: the budget is deliberately tiny, and the LRU
-        // assertions below reason about a single global eviction order.
+        // One shard: the budget is deliberately tiny, and the admission
+        // assertions below reason about a single store.
         shards: 1,
         ..test_config()
     })
@@ -409,13 +409,16 @@ fn session_store_budget_holds_under_wire_pressure() {
     }
     assert!(total_evicted > 0, "pressure must evict sessions");
 
-    // Evicted sessions answer UnknownSession, live ones still work.
-    match c.query_mrc(Target::Session("s0".into()), SIZES.to_vec()) {
+    // Every session was submitted once, so no newcomer out-ranks the
+    // residents: admission keeps the first sessions that fit and refuses
+    // the later ones. Refused sessions answer UnknownSession, live ones
+    // still work.
+    match c.query_mrc(Target::Session("s11".into()), SIZES.to_vec()) {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
-        other => panic!("s0 should be evicted, got {other:?}"),
+        other => panic!("s11 should have been refused, got {other:?}"),
     }
-    c.query_mrc(Target::Session("s11".into()), SIZES.to_vec())
-        .expect("most recent session is live");
+    c.query_mrc(Target::Session("s0".into()), SIZES.to_vec())
+        .expect("first-admitted session is live");
 
     let stats = c.stats().unwrap();
     let evictions = stats

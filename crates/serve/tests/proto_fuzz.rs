@@ -1,13 +1,16 @@
 //! Protocol fuzz: seeded random byte mutation of valid frames fed to the
 //! decoders must never panic — every outcome is a clean `Ok` or a typed
 //! `ProtoError`. 10k cases, no external fuzz dependencies, fully
-//! reproducible from the seed.
+//! reproducible from the seed. The corpus holds every request and
+//! response kind, peer kinds included: the daemon decodes those from any
+//! connection.
 
-use repf_serve::proto::{self, Request, Response};
-use repf_serve::{ErrorCode, MachineId, PlanWire, SampleBatch, Target};
+use repf_serve::proto::{self, DirectiveWire, Request, Response};
+use repf_serve::{ErrorCode, MachineId, ModelWire, PlanWire, SampleBatch, Target};
 use repf_sampling::{DanglingSample, ReuseSample, StrideSample};
 use repf_trace::{AccessKind, Pc};
 use repf_workloads::BenchmarkId;
+use std::collections::BTreeSet;
 
 /// splitmix64 — the same scheme the replay generator uses.
 struct Rng(u64);
@@ -27,6 +30,13 @@ impl Rng {
 
 /// Valid frames of every request and response type — the mutation corpus.
 fn corpus() -> Vec<Vec<u8>> {
+    let model = ModelWire {
+        line_bytes: 64,
+        dangling: 2,
+        sorted: vec![1, 5, 9],
+        per_pc: vec![(100, 1, vec![1, 5]), (200, 1, vec![9])],
+    };
+    let nodes: Vec<String> = vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()];
     let batch = SampleBatch {
         total_refs: 1000,
         sample_period: 1009,
@@ -55,7 +65,7 @@ fn corpus() -> Vec<Vec<u8>> {
         Request::Ping,
         Request::Submit {
             session: "fuzz".into(),
-            batch,
+            batch: batch.clone(),
         },
         Request::QueryMrc {
             target: Target::Session("abc".into()),
@@ -89,6 +99,38 @@ fn corpus() -> Vec<Vec<u8>> {
             session: "peer-owned".into(),
             cached_version: 7,
         },
+        Request::RingGet,
+        Request::RingSet {
+            epoch: 3,
+            seed: 0xDEAD,
+            vnodes: 64,
+            nodes: nodes.clone(),
+        },
+        Request::PeerForward {
+            hops: 2,
+            frame: Request::Submit {
+                session: "forwarded".into(),
+                batch: batch.clone(),
+            }
+            .encode()[4..]
+                .to_vec(),
+        },
+        Request::SessionImport {
+            session: "moved".into(),
+            version: 4,
+            batch: batch.clone(),
+            model: Some(model.clone()),
+        },
+        Request::SessionImport {
+            session: "moved-bare".into(),
+            version: 1,
+            batch,
+            model: None,
+        },
+        Request::ModelPull {
+            session: "pulled".into(),
+            version: 9,
+        },
     ];
     let resps = [
         Response::Pong,
@@ -105,6 +147,15 @@ fn corpus() -> Vec<Vec<u8>> {
         Response::Plan(PlanWire {
             delta: 1.5,
             directives: vec![],
+        }),
+        Response::Plan(PlanWire {
+            delta: 2.25,
+            directives: vec![DirectiveWire {
+                pc: 100,
+                distance_bytes: 512,
+                stride: 64,
+                nta: true,
+            }],
         }),
         Response::Stats(vec![("requests.ping".into(), 2.0)]),
         Response::ShuttingDown,
@@ -123,6 +174,26 @@ fn corpus() -> Vec<Vec<u8>> {
             throughput: 3.5,
             nodes_explored: 19,
             pruned: 6,
+        },
+        Response::RingInfo {
+            epoch: 3,
+            seed: 0xDEAD,
+            vnodes: 64,
+            nodes,
+            self_addr: "127.0.0.1:9001".into(),
+        },
+        Response::RingAck {
+            epoch: 3,
+            migrated: 17,
+        },
+        Response::Imported,
+        Response::ModelEntry {
+            version: 9,
+            model: Some(model),
+        },
+        Response::ModelEntry {
+            version: 9,
+            model: None,
         },
     ];
     reqs.iter()
@@ -184,6 +255,19 @@ fn mutated_frames_never_panic_and_fail_cleanly() {
             "corpus frame must decode"
         );
     }
+    // Every kind is in it. The kind byte follows the length prefix and
+    // the version byte; reply kinds have the high bit set.
+    let kinds: BTreeSet<u8> = corpus.iter().map(|frame| frame[5]).collect();
+    assert_eq!(
+        kinds.iter().filter(|&&k| k < 0x80).count(),
+        15,
+        "request kinds"
+    );
+    assert_eq!(
+        kinds.iter().filter(|&&k| k >= 0x80).count(),
+        15,
+        "response kinds"
+    );
 
     let mut rng = Rng(0xF0CC_5EED);
     let mut decode_ok = 0u64;

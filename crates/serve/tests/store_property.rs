@@ -2,10 +2,12 @@
 //! seeded random submit/query sequences over varied budgets and shard
 //! counts, the aggregate byte gauge always equals the sum of the
 //! per-shard gauges and never exceeds the budget — after *every*
-//! operation, not just at the end.
+//! operation, not just at the end — while admission and segment
+//! shuffling (window → probation → protected, demotions,
+//! frequency-compared rejections) run underneath.
 
-use repf_serve::{SampleBatch, ShardedSessionStore, StorePolicy};
 use repf_sampling::ReuseSample;
+use repf_serve::{SampleBatch, ShardedSessionStore};
 use repf_trace::{AccessKind, Pc};
 
 struct Rng(u64);
@@ -65,8 +67,7 @@ fn check_invariants(store: &ShardedSessionStore, op: &str) {
             s.bytes,
             s.budget_bytes
         );
-        // The segment gauges always partition the shard's bytes — under
-        // LRU everything sits in the (degenerate) window gauge.
+        // The segment gauges always partition the shard's bytes.
         assert_eq!(
             s.window_bytes + s.probation_bytes + s.protected_bytes,
             s.bytes,
@@ -75,7 +76,8 @@ fn check_invariants(store: &ShardedSessionStore, op: &str) {
     }
 }
 
-fn random_sequences_hold_the_gauges(policy: StorePolicy) {
+#[test]
+fn random_submit_sequences_never_break_the_byte_gauges() {
     for (seed, budget, shards) in [
         (0x01u64, 32usize << 10, 1usize),
         (0x02, 48 << 10, 2),
@@ -85,7 +87,7 @@ fn random_sequences_hold_the_gauges(policy: StorePolicy) {
         (0x06, 128 << 10, 5),
     ] {
         let mut rng = Rng(seed);
-        let store = ShardedSessionStore::with_policy(budget, shards, policy);
+        let store = ShardedSessionStore::new(budget, shards);
         let mut submits = 0u64;
         for op in 0..600u64 {
             let name = format!("s{}", rng.below(24));
@@ -97,10 +99,8 @@ fn random_sequences_hold_the_gauges(policy: StorePolicy) {
                         .expect("consistent line size");
                     submits += 1;
                 }
-                // Queries refresh recency and exercise the model path.
-                7 | 8 => {
-                    let _ = store.with_profile(&name, |p| p.reuse.len());
-                }
+                // Queries refresh recency and frequency and exercise the
+                // model path.
                 _ => {
                     let _ = store.model(&name);
                 }
@@ -117,18 +117,4 @@ fn random_sequences_hold_the_gauges(policy: StorePolicy) {
         assert_eq!(out.store_bytes, store.bytes(), "submit reports the true aggregate");
         check_invariants(&store, "final submit");
     }
-}
-
-#[test]
-fn random_submit_sequences_never_break_the_byte_gauges() {
-    random_sequences_hold_the_gauges(StorePolicy::Lru);
-}
-
-/// The same seeded sequences under W-TinyLFU: admission and segment
-/// shuffling (window → probation → protected, demotions, frequency-
-/// compared rejections) must uphold exactly the same gauge invariants
-/// after every operation.
-#[test]
-fn tinylfu_random_sequences_never_break_the_byte_gauges() {
-    random_sequences_hold_the_gauges(StorePolicy::TinyLfu);
 }

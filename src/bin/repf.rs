@@ -29,8 +29,8 @@ use repf::sampling::{Sampler, SamplerConfig};
 use repf::serve::{
     apply_membership, generate_trace, replay_against, replay_clustered, replay_spawned, run_load,
     ChurnEvent, Client, ClientError, GenConfig, LoadConfig, MachineId, OpMix, ReplayConfig,
-    Request, Response, Ring, RingChange, RingSpec, ServeConfig, StorePolicy, Target, Trace,
-    DEFAULT_RING_SEED, DEFAULT_VNODES,
+    Request, Response, Ring, RingChange, RingSpec, ServeConfig, Target, Trace, DEFAULT_RING_SEED,
+    DEFAULT_VNODES,
 };
 use repf::sim::{
     amd_phenom_ii, intel_i7_2600k, prepare, run_mix, run_policy, Exec, MachineConfig, MixSpec,
@@ -53,12 +53,10 @@ struct Args {
     queue: usize,
     budget_mb: usize,
     shards: usize,
-    store_policy: StorePolicy,
     max_conns: usize,
     out: Option<String>,
     trace: Option<String>,
     nodes: usize,
-    check: bool,
     seed: Option<u64>,
     sessions: Option<u32>,
     rounds: u32,
@@ -132,7 +130,7 @@ Run a 4-application mix with shared-LLC and shared-DRAM contention and
 report per-app speedups, throughput and traffic deltas.",
         Some("serve") => "\
 usage: repf serve [--addr HOST:PORT] [--threads N] [--queue N]
-                  [--budget-mb N] [--shards N] [--store-policy P]
+                  [--budget-mb N] [--shards N]
                   [--max-conns N] [--scale F]
                   [--peers H:P[,H:P...]] [--advertise H:P]
                   [--ring-seed N] [--vnodes N]
@@ -143,14 +141,12 @@ control message. The bound address is printed on the first stdout line
   --addr H:P     bind address (default 127.0.0.1:4590)
   --threads N    request worker threads (default: REPF_THREADS or cores)
   --queue N      bounded request queue depth; full => Busy (default 64)
-  --budget-mb N  session-store byte budget in MiB (default 64)
+  --budget-mb N  session-store byte budget in MiB (default 64); past it,
+                 W-TinyLFU admission (a frequency sketch gating a small
+                 window into probation/protected segments) keeps the
+                 zipf-hot working set under one-shot churn
   --shards N     session-store shard count (default 8, at least 1); shards
                  are independently locked and split the budget evenly
-  --store-policy P
-                 session-store eviction policy: `lru` (default) or `tinylfu`
-                 (W-TinyLFU: frequency-sketch admission + windowed
-                 probation/protected segments — keeps the zipf-hot working
-                 set under one-shot churn)
   --max-conns N  open-connection cap (at least 1); accepts past it are
                  shed with Busy (default 4096)
   --scale F      refs scale for server-side benchmark profiling (default 0.05)
@@ -204,7 +200,8 @@ summary to stderr.\n
   --mix M        op mix: submit-heavy|query-heavy|scan|scan-churn
                  (default query-heavy; scan-churn = pure zipf queries plus
                  a 10% stream of large one-shot submits to never-queried
-                 sessions, the store-policy pollution workload)
+                 sessions, the workload that tests store admission under
+                 a tight --budget-mb)
   --conns N      open connections: drivers paced + rest parked (default 8)
   --drivers N    paced driver connections (default: min(conns, 8))
   --pipeline N   max in-flight requests per driver; 1 = closed-loop
@@ -277,8 +274,7 @@ file. The same seed always produces a byte-identical trace.\n
   --rounds N     submit-then-query rounds per session (default 3)
   --samples N    reuse samples per submitted batch (default 60)",
         Some("replay") => "\
-usage: repf replay --trace FILE [--nodes N] [--no-check]
-                   [--store-policy lru|tinylfu]
+usage: repf replay --trace FILE [--nodes N]
                    [--addr H:P[,H:P...]]
                    [--drain-at REC] [--join-at REC]
 
@@ -289,11 +285,8 @@ against a direct in-process StatStack/analyze oracle. Exits non-zero on
 divergence and writes the minimal offending request prefix to
 FILE.diverged.\n
   --trace FILE   trace file to replay (required)
-  --nodes N      loopback daemons to spawn and drive (default 1)
-  --store-policy P
-                 session-store policy for spawned nodes (lru|tinylfu); the
-                 digest must be identical across node counts for a fixed
-                 policy
+  --nodes N      loopback daemons to spawn and drive (default 1); the
+                 digest must be identical across node counts
   --addr LIST    replay against running daemons instead (comma-separated;
                  the same RLIMIT_NOFILE preflight as `repf load` runs
                  before any connection opens)
@@ -301,8 +294,7 @@ FILE.diverged.\n
                  record REC — live migration under a deterministic trace;
                  the digest must match the churn-free run
   --join-at REC  spawn a clustered ring and join a fresh node before
-                 record REC (combines with --drain-at)
-  --no-check     skip oracle comparison (overhead baseline)",
+                 record REC (combines with --drain-at)",
         _ => GENERAL_USAGE,
     }
 }
@@ -371,12 +363,10 @@ fn parse_args() -> Args {
     let mut queue = serve_default.queue_depth;
     let mut budget_mb = serve_default.session_budget_bytes >> 20;
     let mut shards = serve_default.shards;
-    let mut store_policy = serve_default.store_policy;
     let mut max_conns = serve_default.max_conns;
     let mut out = None;
     let mut trace = None;
     let mut nodes = 1;
-    let mut check = true;
     let gen_default = GenConfig::default();
     let mut seed = None;
     let mut sessions = None;
@@ -472,15 +462,6 @@ fn parse_args() -> Args {
                     .filter(|&n: &usize| n > 0)
                     .unwrap_or_else(|| usage_err(cmd))
             }
-            "--store-policy" => {
-                store_policy = match it.next().as_deref().map(str::parse) {
-                    Some(Ok(p)) => p,
-                    other => {
-                        eprintln!("bad --store-policy {other:?} (lru|tinylfu)");
-                        usage_err(cmd)
-                    }
-                }
-            }
             "--max-conns" => {
                 max_conns = it
                     .next()
@@ -543,7 +524,6 @@ fn parse_args() -> Args {
                     nodes = v.parse().ok().unwrap_or_else(|| usage_err(cmd));
                 }
             }
-            "--no-check" => check = false,
             "--seed" => {
                 seed = Some(
                     it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage_err(cmd)),
@@ -658,12 +638,10 @@ fn parse_args() -> Args {
         queue,
         budget_mb,
         shards,
-        store_policy,
         max_conns,
         out,
         trace,
         nodes,
-        check,
         seed,
         sessions,
         rounds,
@@ -843,7 +821,6 @@ fn cmd_serve(a: &Args) {
         queue_depth: a.queue,
         session_budget_bytes: a.budget_mb << 20,
         shards: a.shards,
-        store_policy: a.store_policy,
         max_conns: a.max_conns,
         refs_scale: a.scale,
         peers: a.peers.clone(),
@@ -1272,10 +1249,7 @@ fn cmd_replay(a: &Args) {
         eprintln!("loading {path} failed: {e}");
         std::process::exit(1);
     });
-    let rcfg = ReplayConfig {
-        check: a.check,
-        ..ReplayConfig::default()
-    };
+    let rcfg = ReplayConfig::default();
     let report = match a.addr.as_deref() {
         // Drive already-running daemons (comma-separated addresses).
         Some(list) => {
@@ -1297,7 +1271,6 @@ fn cmd_replay(a: &Args) {
                 queue_depth: a.queue,
                 session_budget_bytes: a.budget_mb << 20,
                 shards: a.shards,
-                store_policy: a.store_policy,
                 refs_scale: a.scale,
                 ..ServeConfig::default()
             };
@@ -1329,12 +1302,11 @@ fn cmd_replay(a: &Args) {
         std::process::exit(1);
     });
     println!(
-        "replayed {} requests over {} node(s): digest {:#018x}, divergences {}{}",
+        "replayed {} requests over {} node(s): digest {:#018x}, divergences {}",
         report.requests,
         report.per_node.len(),
         report.digest,
-        report.divergences.len(),
-        if a.check { "" } else { " (checking off)" }
+        report.divergences.len()
     );
     for (i, n) in report.per_node.iter().enumerate() {
         println!("  node {i}: {n} requests");

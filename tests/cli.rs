@@ -31,7 +31,7 @@ fn per_subcommand_help_exits_zero() {
         ("serve", "--max-conns"),
         ("query", "session:NAME"),
         ("record", "--sessions"),
-        ("replay", "--no-check"),
+        ("replay", "--drain-at"),
     ] {
         let out = repf().args([cmd, "--help"]).output().unwrap();
         assert!(out.status.success(), "{cmd} --help must exit 0");
