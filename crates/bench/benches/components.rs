@@ -10,11 +10,12 @@
 
 use repf_cache::{CacheConfig, FunctionalCacheSim, MemorySystem};
 use repf_core::analyze;
-use repf_sampling::{Sampler, SamplerConfig};
+use repf_sampling::{ReuseSample, Sampler, SamplerConfig};
 use repf_sim::{amd_phenom_ii, intel_i7_2600k, CoreSetup, Sim};
 use repf_statstack::{place, place_exhaustive, CoRunModel, StatStackModel};
 use repf_trace::patterns::{StridedStream, StridedStreamCfg};
-use repf_trace::{Pc, TraceSource, TraceSourceExt};
+use repf_trace::rng::XorShift64Star;
+use repf_trace::{AccessKind, Pc, TraceSource, TraceSourceExt};
 use repf_workloads::{build, BenchmarkId, BuildOptions};
 use std::time::{Duration, Instant};
 
@@ -166,6 +167,21 @@ fn bench_corun_and_placement() {
             co.answer_bytes(&[mib << 20])
         });
     }
+    // Sessions shaped like the `ring` workload's (see `ring_models`): a
+    // `CoRun` there asks for 4 of them at 1, 4 and 8 MiB at once.
+    let ring = ring_models();
+    bench("corun", "ring-4-sessions-3-sizes", 0, || {
+        let mut co = CoRunModel::new();
+        ring[..4].iter().for_each(|m| co.push(m));
+        co.answer_bytes(&[1 << 20, 4 << 20, 8 << 20])
+    });
+    // The wide shape: every session, at 2,048 sizes of 4 KiB to 8 MiB.
+    let wide: Vec<u64> = (1..=2048u64).map(|k| k << 12).collect();
+    bench("corun", "16-sessions-2048-sizes", 0, || {
+        let mut co = CoRunModel::new();
+        ring.iter().for_each(|m| co.push(m));
+        co.answer_bytes(&wide)
+    });
     for (n, groups, capacity) in [(8usize, 2u32, 4u32), (12, 3, 4)] {
         let shape = format!("{n}-into-{groups}x{capacity}");
         bench("placement", &format!("place-{shape}"), 0, || {
@@ -175,6 +191,55 @@ fn bench_corun_and_placement() {
             place_exhaustive(&refs[..n], &lam[..n], groups, capacity, 8 << 20)
         });
     }
+}
+
+/// Sixteen sessions fitted from samples shaped like a load generator's
+/// submits, as the `ring` workload's sessions hold them: about 2,000
+/// samples each, a third at 400k–1M lines, and of the rest a quarter at
+/// 30k + 7k·s lines for session `s` and the others at 1–48, so the
+/// distances cluster and repeat. A third of the sessions keep their
+/// last submits in a delta level; the others are one level, as a
+/// pulled model imports.
+fn ring_models() -> Vec<StatStackModel> {
+    let mut rng = XorShift64Star::new(0x5EED);
+    let mut batch = |s: u64, samples: u64| {
+        let reuse: Vec<ReuseSample> = (0..samples)
+            .map(|_| {
+                let pc = 100 * (1 + rng.below(3) as u32);
+                let distance = if pc == 100 {
+                    400_000 + rng.below(600_000)
+                } else if rng.below(4) == 0 {
+                    30_000 + 7_000 * s + rng.below(3_000)
+                } else {
+                    1 + rng.below(48)
+                };
+                ReuseSample {
+                    start_pc: Pc(pc),
+                    start_kind: AccessKind::Load,
+                    end_pc: Pc(pc),
+                    end_kind: AccessKind::Load,
+                    distance,
+                    start_index: 0,
+                }
+            })
+            .collect();
+        let mut b = StatStackModel::builder(64);
+        b.push_batch(&reuse, &[]);
+        b
+    };
+    (0..16u64)
+        .map(|s| {
+            let mut m = batch(s, 2_000).fit();
+            for _ in 0..8 {
+                m = m.extend(&batch(s, 16));
+            }
+            if s % 3 == 0 {
+                m
+            } else {
+                StatStackModel::from_parts(m.to_parts())
+            }
+        })
+        .collect()
 }
 
 fn bench_caches() {

@@ -163,6 +163,14 @@ impl LatencyHisto {
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
+    /// Run `f`, recording its wall time.
+    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.record_us(start.elapsed().as_micros() as u64);
+        out
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -274,8 +282,17 @@ pub struct Metrics {
     pub mrc_latency: LatencyHisto,
     /// Latency of co-run queries (includes any remote model pulls).
     pub corun_latency: LatencyHisto,
+    /// The part of a co-run query that resolves its members' models
+    /// (local fits and peer pulls).
+    pub corun_resolve_latency: LatencyHisto,
+    /// The part of a co-run query that composes the resolved models.
+    pub corun_compose_latency: LatencyHisto,
     /// Latency of placement searches (includes model resolution).
     pub placement_latency: LatencyHisto,
+    /// The part of a placement query that resolves its sessions' models.
+    pub placement_resolve_latency: LatencyHisto,
+    /// The part of a placement query that runs the search.
+    pub placement_search_latency: LatencyHisto,
     /// Latency of plan queries.
     pub plan_latency: LatencyHisto,
     /// Latency of submits.
@@ -395,7 +412,11 @@ impl Metrics {
         for (label, h) in [
             ("mrc", &self.mrc_latency),
             ("corun", &self.corun_latency),
+            ("corun_resolve", &self.corun_resolve_latency),
+            ("corun_compose", &self.corun_compose_latency),
             ("placement", &self.placement_latency),
+            ("placement_resolve", &self.placement_resolve_latency),
+            ("placement_search", &self.placement_search_latency),
             ("plan", &self.plan_latency),
             ("submit", &self.submit_latency),
             ("migration", &self.migration_latency),

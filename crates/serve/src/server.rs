@@ -404,6 +404,7 @@ impl ServeState {
     /// `req` into the store, leaving an empty batch behind. `CoRun` and
     /// `Place` take their peer-owned members' models from `plan`.
     fn handle_local(&self, req: &mut Request, plan: &mut RunPlan) -> Response {
+        let metrics = &self.metrics;
         match req {
             Request::Ping => Response::Pong,
             Request::Submit { session, batch } => {
@@ -412,36 +413,30 @@ impl ServeState {
             Request::QueryMrc {
                 target,
                 sizes_bytes,
-            } => self.timed_mrc(|| self.handle_mrc(target, sizes_bytes)),
+            } => metrics
+                .mrc_latency
+                .time(|| self.handle_mrc(target, sizes_bytes)),
             Request::QueryPcMrc {
                 target,
                 pc,
                 sizes_bytes,
-            } => self.timed_mrc(|| self.handle_pc_mrc(target, *pc, sizes_bytes)),
+            } => metrics
+                .mrc_latency
+                .time(|| self.handle_pc_mrc(target, *pc, sizes_bytes)),
             Request::QueryPlan {
                 target,
                 machine,
                 delta,
-            } => {
-                let start = Instant::now();
-                let resp = self.handle_plan(target, *machine, *delta);
-                self.metrics
-                    .plan_latency
-                    .record_us(start.elapsed().as_micros() as u64);
-                resp
-            }
+            } => metrics
+                .plan_latency
+                .time(|| self.handle_plan(target, *machine, *delta)),
             Request::CoRun {
                 sessions,
                 sizes_bytes,
                 intensities,
-            } => {
-                let start = Instant::now();
-                let resp = self.handle_co_run(sessions, sizes_bytes, intensities, plan);
-                self.metrics
-                    .corun_latency
-                    .record_us(start.elapsed().as_micros() as u64);
-                resp
-            }
+            } => metrics
+                .corun_latency
+                .time(|| self.handle_co_run(sessions, sizes_bytes, intensities, plan)),
             Request::Place {
                 sessions,
                 groups,
@@ -449,12 +444,9 @@ impl ServeState {
                 size_bytes,
                 intensities,
             } => {
-                let start = Instant::now();
-                let resp =
-                    self.handle_place(sessions, *groups, *capacity, *size_bytes, intensities, plan);
-                self.metrics
-                    .placement_latency
-                    .record_us(start.elapsed().as_micros() as u64);
+                let resp = metrics.placement_latency.time(|| {
+                    self.handle_place(sessions, *groups, *capacity, *size_bytes, intensities, plan)
+                });
                 if let Response::Placement {
                     nodes_explored,
                     pruned,
@@ -875,15 +867,6 @@ impl ServeState {
         out
     }
 
-    fn timed_mrc(&self, f: impl FnOnce() -> Response) -> Response {
-        let start = Instant::now();
-        let resp = f();
-        self.metrics
-            .mrc_latency
-            .record_us(start.elapsed().as_micros() as u64);
-        resp
-    }
-
     fn handle_submit(&self, session: &str, batch: SampleBatch) -> Response {
         let start = Instant::now();
         let out = self.sessions.submit(session, batch);
@@ -1132,19 +1115,25 @@ impl ServeState {
         if let Some(err) = Self::co_run_refusal(names, sizes, intensities) {
             return err;
         }
-        let models = match self.resolve_models(names, plan) {
+        let metrics = &self.metrics;
+        let resolved = metrics
+            .corun_resolve_latency
+            .time(|| self.resolve_models(names, plan));
+        let models = match resolved {
             Ok(m) => m,
             Err(e) => return e,
         };
-        let mut co = CoRunModel::new();
-        for (i, m) in models.iter().enumerate() {
-            if intensities.is_empty() {
-                co.push(m);
-            } else {
-                co.push_with_intensity(m, intensities[i]);
+        let answer = metrics.corun_compose_latency.time(|| {
+            let mut co = CoRunModel::new();
+            for (i, m) in models.iter().enumerate() {
+                if intensities.is_empty() {
+                    co.push(m);
+                } else {
+                    co.push_with_intensity(m, intensities[i]);
+                }
             }
-        }
-        let answer = co.answer_bytes(sizes);
+            co.answer_bytes(sizes)
+        });
         Response::CoRun {
             per_session: names.iter().cloned().zip(answer.per_member).collect(),
             throughput: answer.throughput,
@@ -1209,7 +1198,11 @@ impl ServeState {
         if let Some(err) = Self::place_refusal(names, groups, capacity, intensities) {
             return err;
         }
-        let models = match self.resolve_models(names, plan) {
+        let metrics = &self.metrics;
+        let resolved = metrics
+            .placement_resolve_latency
+            .time(|| self.resolve_models(names, plan));
+        let models = match resolved {
             Ok(m) => m,
             Err(e) => return e,
         };
@@ -1219,8 +1212,9 @@ impl ServeState {
         } else {
             intensities.to_vec()
         };
-        let result =
-            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes, 1);
+        let result = metrics.placement_search_latency.time(|| {
+            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes, 1)
+        });
         Response::Placement {
             groups: result
                 .groups

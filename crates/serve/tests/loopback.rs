@@ -315,6 +315,51 @@ fn interleaved_sessions_match_direct_fits_bit_for_bit() {
     handle.join();
 }
 
+/// `CoRun` and `Place` time their model resolution apart from their
+/// math: each answered query records one sample in its handler's
+/// histogram and one in each of its two stage histograms, and a query
+/// refused at resolution records no math.
+#[test]
+fn co_run_and_place_time_resolution_apart_from_the_math() {
+    let handle = start(test_config()).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let names: Vec<String> = (0..4).map(|s| format!("stage-s{s}")).collect();
+    for (s, name) in names.iter().enumerate() {
+        c.submit_profile(name, &batch_profile(s as u64, 0)).unwrap();
+    }
+    c.co_run(names.clone(), SIZES.to_vec(), Vec::new()).unwrap();
+    c.place(names.clone(), 2, 2, 8 << 20, Vec::new()).unwrap();
+    let unknown = vec![names[0].clone(), "stage-missing".to_string()];
+    for refused in [
+        c.co_run(unknown.clone(), SIZES.to_vec(), Vec::new())
+            .map(drop),
+        c.place(unknown, 1, 2, 8 << 20, Vec::new()).map(drop),
+    ] {
+        match refused {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownSession),
+            other => panic!("want UnknownSession, got {other:?}"),
+        }
+    }
+    let stats = c.stats().unwrap();
+    let count = |class: &str| {
+        let key = format!("latency.{class}.count");
+        stats
+            .iter()
+            .find(|(name, _)| *name == key)
+            .unwrap_or_else(|| panic!("missing stat {key}"))
+            .1
+    };
+    for (query, resolve, math) in [
+        ("corun", "corun_resolve", "corun_compose"),
+        ("placement", "placement_resolve", "placement_search"),
+    ] {
+        assert_eq!(count(query), 2.0, "{query}");
+        assert_eq!(count(resolve), 2.0, "{resolve}");
+        assert_eq!(count(math), 1.0, "{math}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_frames_get_errors_without_harming_others() {
     let profile = synthetic_profile();

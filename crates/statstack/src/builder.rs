@@ -214,7 +214,11 @@ mod tests {
         }
         assert_eq!(a.sampled_pcs(), b.sampled_pcs(), "{what}: PC set");
         for pc in a.sampled_pcs() {
-            assert_eq!(a.pc_sample_count(pc), b.pc_sample_count(pc), "{what}: n({pc})");
+            assert_eq!(
+                a.pc_sample_count(pc),
+                b.pc_sample_count(pc),
+                "{what}: n({pc})"
+            );
             for lines in [1u64, 64, 4096, 1 << 18] {
                 let (x, y) = (a.pc_miss_ratio(pc, lines), b.pc_miss_ratio(pc, lines));
                 assert_eq!(
@@ -230,17 +234,27 @@ mod tests {
     /// Split `p`'s samples into `cuts+1` contiguous batches at
     /// rng-chosen boundaries (reuse and dangling split independently).
     fn random_batches(p: &Profile, rng: &mut XorShift64Star, cuts: usize) -> Vec<Profile> {
-        let mut reuse_cuts: Vec<usize> =
-            (0..cuts).map(|_| rng.below(p.reuse.len() as u64 + 1) as usize).collect();
-        let mut dangling_cuts: Vec<usize> =
-            (0..cuts).map(|_| rng.below(p.dangling.len() as u64 + 1) as usize).collect();
+        let mut reuse_cuts: Vec<usize> = (0..cuts)
+            .map(|_| rng.below(p.reuse.len() as u64 + 1) as usize)
+            .collect();
+        let mut dangling_cuts: Vec<usize> = (0..cuts)
+            .map(|_| rng.below(p.dangling.len() as u64 + 1) as usize)
+            .collect();
         reuse_cuts.sort_unstable();
         dangling_cuts.sort_unstable();
         let mut out = Vec::with_capacity(cuts + 1);
         let (mut r0, mut d0) = (0usize, 0usize);
         for i in 0..=cuts {
-            let r1 = if i == cuts { p.reuse.len() } else { reuse_cuts[i] };
-            let d1 = if i == cuts { p.dangling.len() } else { dangling_cuts[i] };
+            let r1 = if i == cuts {
+                p.reuse.len()
+            } else {
+                reuse_cuts[i]
+            };
+            let d1 = if i == cuts {
+                p.dangling.len()
+            } else {
+                dangling_cuts[i]
+            };
             out.push(Profile {
                 total_refs: 0,
                 sample_period: p.sample_period,

@@ -2,7 +2,6 @@
 //! paper's Figure 3, with helpers the delinquent-load and cache-bypassing
 //! analyses need.
 
-
 /// A sampled miss-ratio curve: `ratios[i]` is the miss ratio at cache
 /// capacity `sizes_bytes[i]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,7 +19,10 @@ impl MissRatioCurve {
             sizes_bytes.windows(2).all(|w| w[0] < w[1]),
             "sizes must be strictly increasing"
         );
-        MissRatioCurve { sizes_bytes, ratios }
+        MissRatioCurve {
+            sizes_bytes,
+            ratios,
+        }
     }
 
     /// The sampled sizes.
@@ -50,7 +52,10 @@ impl MissRatioCurve {
 
     /// `(size, ratio)` pairs for display.
     pub fn points(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.sizes_bytes.iter().copied().zip(self.ratios.iter().copied())
+        self.sizes_bytes
+            .iter()
+            .copied()
+            .zip(self.ratios.iter().copied())
     }
 
     /// Render a compact ASCII table (used by the `fig3` binary).

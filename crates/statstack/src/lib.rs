@@ -52,7 +52,7 @@ pub mod window;
 
 pub use builder::StatStackBuilder;
 pub use corun::{CoRunAnswer, CoRunModel, MISS_WEIGHT};
-pub use placement::{place, place_exhaustive, tree_nodes, PlacementResult};
 pub use curve::MissRatioCurve;
 pub use model::{ModelParts, StatStackModel};
+pub use placement::{place, place_exhaustive, tree_nodes, PlacementResult};
 pub use window::WindowedModel;

@@ -154,10 +154,11 @@ impl Level {
         self.sorted.len() as u64 + self.dangling
     }
 
-    /// How many completed distances are `< d`, and their sum.
-    fn below(&self, d: u64) -> (u64, u64) {
-        let c = self.sorted.partition_point(|&x| x < d);
-        (c as u64, self.prefix[c])
+    /// How many completed distances are `< d`, and their sum, searching
+    /// only ranks `lo..=hi`, which must hold that count.
+    fn below_within(&self, d: u64, lo: usize, hi: usize) -> (usize, u64) {
+        let c = lo + self.sorted[lo..hi].partition_point(|&x| x < d);
+        (c, self.prefix[c])
     }
 
     /// The level holding the samples of both `self` and `other`.
@@ -194,6 +195,14 @@ fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// Where a model's counts of completed distances below some distance
+/// lie: ranks `lo[l]..=hi[l]` of level `l` (`[base, delta]`).
+#[derive(Clone, Copy)]
+pub(crate) struct RankRange {
+    pub(crate) lo: [usize; 2],
+    pub(crate) hi: [usize; 2],
 }
 
 /// A fitted StatStack model: query miss ratios for any cache size, for the
@@ -298,16 +307,34 @@ impl StatStackModel {
     /// and `Σ_{<d}` their distance sum, the inner sum telescopes to
     /// `S(d) = (n·d − (c(d)·d − Σ_{<d})) / n`.
     pub fn stack_distance(&self, d: u64) -> f64 {
+        self.stack_distance_within(d, &self.all_ranks()).0
+    }
+
+    /// Every rank of both levels.
+    pub(crate) fn all_ranks(&self) -> RankRange {
+        RankRange {
+            lo: [0, 0],
+            hi: [self.base.sorted.len(), self.delta.sorted.len()],
+        }
+    }
+
+    /// [`stack_distance`](Self::stack_distance)`(d)`, counting each
+    /// level's distances below `d` by a search of the ranks in `ranks`
+    /// only, which must hold those counts; also returns the counts. A
+    /// confined `partition_point` finds the rank a full one finds, so
+    /// the result is the same float whatever `ranks` holds it.
+    pub(crate) fn stack_distance_within(&self, d: u64, ranks: &RankRange) -> (f64, [usize; 2]) {
+        let (cb, sb) = self.base.below_within(d, ranks.lo[0], ranks.hi[0]);
+        let (cd, sd) = self.delta.below_within(d, ranks.lo[1], ranks.hi[1]);
         let n = self.sample_count();
         if n == 0 {
-            return d as f64; // no information: worst case, every line unique
+            // No information: worst case, every line unique.
+            return (d as f64, [cb, cd]);
         }
-        let (cb, sb) = self.base.below(d);
-        let (cd, sd) = self.delta.below(d);
-        let (c, sum_below) = (cb + cd, sb + sd);
+        let (c, sum_below) = (cb as u64 + cd as u64, sb + sd);
         let covered = c as u128 * d as u128 - sum_below as u128;
         let total = n as u128 * d as u128 - covered;
-        total as f64 / n as f64
+        (total as f64 / n as f64, [cb, cd])
     }
 
     /// Smallest reuse distance whose expected stack distance reaches
@@ -744,7 +771,10 @@ mod tests {
         assert_eq!(back.line_bytes, m.line_bytes);
         assert_eq!(back.sampled_pcs(), m.sampled_pcs());
         for lines in [0u64, 1, 7, 64, 1024, 1 << 20] {
-            assert_eq!(m.miss_ratio(lines).to_bits(), back.miss_ratio(lines).to_bits());
+            assert_eq!(
+                m.miss_ratio(lines).to_bits(),
+                back.miss_ratio(lines).to_bits()
+            );
             for pc in m.sampled_pcs() {
                 assert_eq!(
                     m.pc_miss_ratio(pc, lines).map(f64::to_bits),

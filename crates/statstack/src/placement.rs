@@ -51,14 +51,16 @@
 //!    vector).
 //!
 //!    What the bound buys, single-threaded over the unit tests'
-//!    `pool()` models on a 2-vCPU Xeon VM (EXPERIMENTS.md, "Placement
-//!    search"): at `N=8, G=2, k=4` it explores 25–126 of 126 nodes in
-//!    0.7–1.2 ms, against 0.8–1.0 ms for [`place_exhaustive`]. At
-//!    `N=12, G=3, k=4` it explores 150–203 of 18,378 nodes in 6–9 ms
-//!    where it prunes (32 KiB, 64 KiB), against 9–13 ms exhaustive;
-//!    where every grouping ties (256 KiB, 8 MiB) nothing prunes and
-//!    the per-node bound makes the full walk cost 63–86 ms, against
-//!    8–13 ms.
+//!    `pool()` models on a 2-vCPU Xeon VM (EXPERIMENTS.md, "Co-run
+//!    composition cost"): at `N=8, G=2, k=4` it explores 25–126 of 126
+//!    nodes in 0.4–0.7 ms, against 0.3–0.4 ms for
+//!    [`place_exhaustive`]; since shared miss counts got cheap, the
+//!    bound costs more than it saves at this shape. At `N=12, G=3,
+//!    k=4` it explores 150–203 of 18,378 nodes in 4–5 ms where it
+//!    prunes (32 KiB, 64 KiB), against 10–11 ms exhaustive; where
+//!    every grouping ties (256 KiB, 8 MiB) nothing prunes and the
+//!    per-node bound makes the full walk cost 65–102 ms, against
+//!    6–11 ms.
 //! 3. **Deterministic parallelism** in the style of `repf_sim::Exec`.
 //!    A sequential breadth-first pass expands the tree to a
 //!    thread-count-*independent* frontier (≤ [`FRONTIER_TARGET`]
@@ -759,11 +761,7 @@ impl<'a> Search<'a> {
 }
 
 fn check_instance(models: &[&StatStackModel], intensities: &[f64], groups: u32, capacity: u32) {
-    assert_eq!(
-        models.len(),
-        intensities.len(),
-        "one intensity per session"
-    );
+    assert_eq!(models.len(), intensities.len(), "one intensity per session");
     assert!(
         models.len() <= u8::MAX as usize,
         "canonical choice vectors are u8 group ids"
@@ -949,8 +947,7 @@ mod tests {
     use repf_trace::Pc;
 
     fn loop_model(lines: u64, passes: u32) -> StatStackModel {
-        let mut src =
-            StridedStream::new(StridedStreamCfg::loads(Pc(1), 0, lines * 64, 64, passes));
+        let mut src = StridedStream::new(StridedStreamCfg::loads(Pc(1), 0, lines * 64, 64, passes));
         let sampler = Sampler::new(SamplerConfig {
             sample_period: 3,
             line_bytes: 64,
@@ -1038,7 +1035,10 @@ mod tests {
             fast.nodes_explored,
             brute.nodes_explored
         );
-        assert_eq!(fast.total_miss_ratio.to_bits(), brute.total_miss_ratio.to_bits());
+        assert_eq!(
+            fast.total_miss_ratio.to_bits(),
+            brute.total_miss_ratio.to_bits()
+        );
     }
 
     #[test]
@@ -1090,7 +1090,10 @@ mod tests {
         assert_eq!(r.groups, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
         let brute = place_exhaustive(&m, &lam, 3, 2, 256 * 64);
         assert_eq!(r.groups, brute.groups);
-        assert_eq!(r.total_miss_ratio.to_bits(), brute.total_miss_ratio.to_bits());
+        assert_eq!(
+            r.total_miss_ratio.to_bits(),
+            brute.total_miss_ratio.to_bits()
+        );
     }
 
     #[test]
@@ -1170,9 +1173,17 @@ mod tests {
             let m = refs(&models);
             let lam = default_intensities(&models);
             let brute = place_exhaustive(&m, &lam, groups, cap, 512 * 64);
-            assert_eq!(brute.nodes_explored, tree_nodes(n, groups, cap), "{n}/{groups}/{cap}");
+            assert_eq!(
+                brute.nodes_explored,
+                tree_nodes(n, groups, cap),
+                "{n}/{groups}/{cap}"
+            );
             let idle = place(&m, &vec![0.0; n], groups, cap, 1 << 30, 1);
-            assert_eq!(idle.nodes_explored, tree_nodes(n, groups, cap), "{n}/{groups}/{cap}");
+            assert_eq!(
+                idle.nodes_explored,
+                tree_nodes(n, groups, cap),
+                "{n}/{groups}/{cap}"
+            );
         }
     }
 }

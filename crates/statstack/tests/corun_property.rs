@@ -201,7 +201,10 @@ fn degenerate_members_answer_well_formed_curves() {
                     mr.is_finite() && (0.0..=1.0).contains(&mr),
                     "case {case}: member {i} size {k} mr {mr}"
                 );
-                assert!(mr <= prev, "case {case}: member {i} curve must be non-increasing");
+                assert!(
+                    mr <= prev,
+                    "case {case}: member {i} curve must be non-increasing"
+                );
                 prev = mr;
             }
         }

@@ -7,7 +7,9 @@
 use repf_cache::{CacheConfig, PolicyCache, RandomRepl, ReplacementPolicy, TreePlru, TrueLru};
 use repf_sampling::{Sampler, SamplerConfig};
 use repf_statstack::StatStackModel;
-use repf_trace::patterns::{Mix, MixEnd, PointerChase, PointerChaseCfg, StridedStream, StridedStreamCfg};
+use repf_trace::patterns::{
+    Mix, MixEnd, PointerChase, PointerChaseCfg, StridedStream, StridedStreamCfg,
+};
 use repf_trace::source::Recorded;
 use repf_trace::{MemRef, Pc, TraceSource, TraceSourceExt};
 
@@ -15,7 +17,13 @@ fn representative_trace() -> Vec<MemRef> {
     // A stream + a hot loop + a chase: the three behaviours the analogs
     // are built from.
     let stream = StridedStream::new(StridedStreamCfg::loads(Pc(0), 0, 1 << 22, 64, 4));
-    let hot = StridedStream::new(StridedStreamCfg::loads(Pc(1), 1 << 30, 16 << 10, 64, 1 << 16));
+    let hot = StridedStream::new(StridedStreamCfg::loads(
+        Pc(1),
+        1 << 30,
+        16 << 10,
+        64,
+        1 << 16,
+    ));
     let chase = PointerChase::new(PointerChaseCfg {
         chase_pc: Pc(2),
         payload_pcs: vec![],
