@@ -41,7 +41,10 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server error ({code:?}): {message}")
             }
             ClientError::Disconnected => {
-                write!(f, "connection closed by server (daemon gone or shutting down)")
+                write!(
+                    f,
+                    "connection closed by server (daemon gone or shutting down)"
+                )
             }
             ClientError::Unexpected(what) => write!(f, "unexpected response: {what}"),
         }
@@ -256,7 +259,12 @@ impl Client {
                 throughput,
                 nodes_explored,
                 pruned,
-            } => Ok((groups, total_miss_ratio, throughput, (nodes_explored, pruned))),
+            } => Ok((
+                groups,
+                total_miss_ratio,
+                throughput,
+                (nodes_explored, pruned),
+            )),
             _ => Err(ClientError::Unexpected("want Placement")),
         }
     }

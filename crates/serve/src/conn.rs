@@ -584,7 +584,9 @@ mod tests {
         assert!(conn.expired(d0), "expired once the deadline passes");
 
         // Completing the frame restarts the clock.
-        (&client).write_all(&[0x00, 0x00, 1, 1, 1, 1, 1, 1]).unwrap();
+        (&client)
+            .write_all(&[0x00, 0x00, 1, 1, 1, 1, 1, 1])
+            .unwrap();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(conn.read_ready().unwrap(), ReadOutcome::Open);
         assert_eq!(conn.pending.len(), 1, "frame completed");

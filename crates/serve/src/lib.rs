@@ -76,13 +76,11 @@ pub use proto::{
     ErrorCode, MachineId, ModelWire, PlanWire, ProtoError, Request, Response, SampleBatch, Target,
     PROTO_VERSION,
 };
-pub use ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
 pub use replay::{
     generate_trace, replay_against, replay_clustered, replay_spawned, ChurnEvent, Divergence,
     GenConfig, Oracle, ReplayConfig, ReplayReport, ReplayRng, RingChange,
 };
+pub use ring::{Ring, DEFAULT_RING_SEED, DEFAULT_VNODES};
 pub use server::{start, ServeConfig, ServerHandle};
-pub use session::{
-    SessionExport, ShardStats, ShardedSessionStore, SubmitOutcome, SubmitRejected,
-};
+pub use session::{SessionExport, ShardStats, ShardedSessionStore, SubmitOutcome, SubmitRejected};
 pub use trace_file::{Trace, TraceError, TraceRecorder, TRACE_MAGIC, TRACE_VERSION};

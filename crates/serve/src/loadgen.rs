@@ -230,14 +230,7 @@ impl ZipfGen {
 const LOAD_PCS: [u32; 3] = [100, 200, 300];
 
 /// 6-point MRC ladder for [`OpKind::Mrc`] queries.
-const MRC_SIZES: [u64; 6] = [
-    32 << 10,
-    128 << 10,
-    256 << 10,
-    1 << 20,
-    4 << 20,
-    8 << 20,
-];
+const MRC_SIZES: [u64; 6] = [32 << 10, 128 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20];
 
 /// Name of load session `i`.
 pub fn session_name(i: u32) -> String {
@@ -528,10 +521,7 @@ impl ServerStatsDelta {
     fn to_json(self) -> Json {
         Json::obj([
             ("sessions_evictions", Json::Num(self.evictions as f64)),
-            (
-                "model_cache_hits",
-                Json::Num(self.model_cache_hits as f64),
-            ),
+            ("model_cache_hits", Json::Num(self.model_cache_hits as f64)),
             (
                 "model_cache_misses",
                 Json::Num(self.model_cache_misses as f64),
@@ -588,10 +578,7 @@ impl LoadReport {
             ("mix", Json::str(self.cfg.mix.as_str())),
             ("seed", Json::Num(self.cfg.seed as f64)),
             ("target_rate", Json::Num(self.cfg.rate)),
-            (
-                "duration_secs",
-                Json::Num(self.cfg.duration.as_secs_f64()),
-            ),
+            ("duration_secs", Json::Num(self.cfg.duration.as_secs_f64())),
             ("nodes", Json::Num(self.nodes as f64)),
             ("conns", Json::Num(self.conns_open as f64)),
             ("drivers", Json::Num(self.drivers as f64)),
@@ -666,20 +653,14 @@ struct DriverOut {
 /// server hung and abandons its window.
 const READER_MAX_STALLS: u32 = 3;
 
-fn reader_loop(
-    mut rd: TcpStream,
-    shared: &DriverShared,
-    t0: Instant,
-) -> DriverOut {
+fn reader_loop(mut rd: TcpStream, shared: &DriverShared, t0: Instant) -> DriverOut {
     let mut out = DriverOut::default();
     let mut received = 0u64;
     let mut stalls = 0u32;
     loop {
         {
             let st = shared.m.lock().expect("driver state");
-            if (st.done_writing && received == st.sent)
-                || (st.dead && st.window.is_empty())
-            {
+            if (st.done_writing && received == st.sent) || (st.dead && st.window.is_empty()) {
                 break;
             }
         }
@@ -816,8 +797,8 @@ fn run_driver(
                 break;
             }
             let sent_at = Instant::now();
-            max_lag_us = max_lag_us
-                .max(sent_at.saturating_duration_since(target).as_micros() as u64);
+            max_lag_us =
+                max_lag_us.max(sent_at.saturating_duration_since(target).as_micros() as u64);
             st.window.push_back(Stamp {
                 kind: op.kind,
                 offset_us: op.offset_us,

@@ -409,7 +409,13 @@ impl Oracle {
         }
         Ok(names
             .iter()
-            .map(|n| &self.sessions[n.as_str()].fitted.as_ref().expect("fitted above").1)
+            .map(|n| {
+                &self.sessions[n.as_str()]
+                    .fitted
+                    .as_ref()
+                    .expect("fitted above")
+                    .1
+            })
             .collect())
     }
 
@@ -481,9 +487,8 @@ impl Oracle {
         } else {
             intensities.to_vec()
         };
-        let result = repf_statstack::placement::place(
-            &models, &weights, groups, capacity, size_bytes, 1,
-        );
+        let result =
+            repf_statstack::placement::place(&models, &weights, groups, capacity, size_bytes, 1);
         Response::Placement {
             groups: result
                 .groups
@@ -881,7 +886,11 @@ impl<'a> ReplayCore<'a> {
             }
             None => {
                 if !kind_matches(req, &resp) {
-                    diverge("response type does not match request", body(&resp), Vec::new());
+                    diverge(
+                        "response type does not match request",
+                        body(&resp),
+                        Vec::new(),
+                    );
                 }
             }
         }
@@ -912,7 +921,12 @@ pub fn replay_against(
     let order: Vec<usize> = ring
         .nodes()
         .iter()
-        .map(|n| names.iter().position(|a| a == n).expect("member from input"))
+        .map(|n| {
+            names
+                .iter()
+                .position(|a| a == n)
+                .expect("member from input")
+        })
         .collect();
     let mut clients = Vec::with_capacity(addrs.len());
     for a in addrs {
@@ -1121,7 +1135,9 @@ mod tests {
     fn routing_is_stable_and_session_sticky() {
         let trace = generate_trace(&GenConfig::default());
         for nodes in [1usize, 2, 3, 5] {
-            let members: Vec<String> = (0..nodes).map(|k| format!("127.0.0.1:{}", 9000 + k)).collect();
+            let members: Vec<String> = (0..nodes)
+                .map(|k| format!("127.0.0.1:{}", 9000 + k))
+                .collect();
             let ring = Ring::new(7, DEFAULT_VNODES, members);
             let mut session_node: FxHashMap<String, usize> = FxHashMap::default();
             for (i, req) in trace.records.iter().enumerate() {

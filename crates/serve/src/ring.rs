@@ -210,7 +210,10 @@ mod tests {
                 a.owner(&key) != b.owner(&key)
             })
             .count();
-        assert!(moved > 200, "a new seed reshuffles placement ({moved} moved)");
+        assert!(
+            moved > 200,
+            "a new seed reshuffles placement ({moved} moved)"
+        );
     }
 
     #[test]
@@ -250,7 +253,10 @@ mod tests {
             }
         }
         assert!(moved > 0, "the joiner must take some load");
-        assert!(moved < 1800, "a join must not reshuffle most keys ({moved})");
+        assert!(
+            moved < 1800,
+            "a join must not reshuffle most keys ({moved})"
+        );
     }
 
     #[test]
@@ -285,11 +291,7 @@ mod tests {
 
     #[test]
     fn duplicate_members_collapse() {
-        let dup = Ring::new(
-            5,
-            32,
-            vec!["a".into(), "b".into(), "a".into(), "b".into()],
-        );
+        let dup = Ring::new(5, 32, vec!["a".into(), "b".into(), "a".into(), "b".into()]);
         let clean = Ring::new(5, 32, vec!["a".into(), "b".into()]);
         for k in 0..200 {
             let key = format!("s{k}");

@@ -153,7 +153,10 @@ impl Doorkeeper {
 
     #[inline]
     fn probes(&self, hash: u64) -> (u64, u64) {
-        (mix(hash) & self.mask, mix(hash ^ 0x5851_F42D_4C95_7F2D) & self.mask)
+        (
+            mix(hash) & self.mask,
+            mix(hash ^ 0x5851_F42D_4C95_7F2D) & self.mask,
+        )
     }
 
     #[inline]
@@ -427,7 +430,11 @@ mod tests {
             assert_eq!(sk.resets(), 1);
             let after: Vec<u32> = keys.iter().map(|k| sk.estimate(*k)).collect();
             for i in 0..keys.len() {
-                assert_eq!(after[i], before[i] / 2, "halving is exactly floor-div-2 per slot");
+                assert_eq!(
+                    after[i],
+                    before[i] / 2,
+                    "halving is exactly floor-div-2 per slot"
+                );
                 for j in 0..keys.len() {
                     if before[i] >= before[j] {
                         assert!(
@@ -574,7 +581,10 @@ mod tests {
                 drains_signalled += 1;
             }
         }
-        assert_eq!(drains_signalled, 1, "one drain signal per {DRAIN_EVERY} pushes");
+        assert_eq!(
+            drains_signalled, 1,
+            "one drain signal per {DRAIN_EVERY} pushes"
+        );
         let mut seen = Vec::new();
         assert_eq!(buf.drain(|h| seen.push(h)), DRAIN_EVERY);
         seen.sort_unstable();

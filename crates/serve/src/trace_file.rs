@@ -141,9 +141,7 @@ impl Trace {
             let body = match proto::read_frame(r) {
                 Ok(Some(body)) => body,
                 Ok(None) => return Err(TraceError::Truncated { read, declared }),
-                Err(FrameReadError::Io(e))
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof =>
-                {
+                Err(FrameReadError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                     return Err(TraceError::Truncated { read, declared })
                 }
                 Err(FrameReadError::Io(e)) => return Err(TraceError::Io(e)),

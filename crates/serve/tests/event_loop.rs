@@ -146,7 +146,9 @@ fn slow_loris_partial_frames_are_evicted() {
     assert_eq!(silent.read(&mut probe).unwrap_or(0), 0, "silent conn EOF");
 
     // The active connection never noticed.
-    active.ping().expect("active client outlives both evictions");
+    active
+        .ping()
+        .expect("active client outlives both evictions");
 
     active.shutdown_server().unwrap();
     handle.join();
@@ -344,7 +346,9 @@ fn lapsed_read_deadline_with_buffered_output_does_not_stall_the_loop() {
     // The loop must still accept and serve an independent client...
     let mut active = Client::connect(handle.addr()).unwrap();
     active.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    active.ping().expect("loop stays responsive during the stalled flush");
+    active
+        .ping()
+        .expect("loop stays responsive during the stalled flush");
 
     // ...and finish flushing every buffered response.
     for i in 0..BURST {

@@ -57,7 +57,10 @@ fn mixes_produce_their_op_kinds() {
         ..LoadConfig::default()
     };
     for mix in OpMix::ALL {
-        let ops = generate_ops(&LoadConfig { mix, ..base.clone() });
+        let ops = generate_ops(&LoadConfig {
+            mix,
+            ..base.clone()
+        });
         let submits = ops.iter().filter(|o| o.kind == OpKind::Submit).count();
         let mrcs = ops.iter().filter(|o| o.kind == OpKind::Mrc).count();
         let scans = ops

@@ -137,9 +137,7 @@ fn concurrent_clients_match_direct_calls_bit_for_bit() {
                     .expect("absent pc mrc");
                 assert_eq!(absent.is_some(), expected.pc_absent.is_some());
 
-                let plan = c
-                    .query_plan(target, MachineId::Amd, DELTA)
-                    .expect("plan");
+                let plan = c.query_plan(target, MachineId::Amd, DELTA).expect("plan");
                 assert_eq!(plan, expected.plan, "plan identical to direct analyze");
             })
         })
@@ -276,7 +274,9 @@ fn interleaved_sessions_match_direct_fits_bit_for_bit() {
         assert_bits_eq(&mrc, &want, &format!("m{s} mrc"));
 
         let pc = c.query_pc_mrc(target.clone(), 100, SIZES.to_vec()).unwrap();
-        let want_pc = model.pc_mrc_bytes(Pc(100), &SIZES).map(|c| c.ratios().to_vec());
+        let want_pc = model
+            .pc_mrc_bytes(Pc(100), &SIZES)
+            .map(|c| c.ratios().to_vec());
         match (&pc, &want_pc) {
             (Some(g), Some(w)) => assert_bits_eq(g, w, &format!("m{s} pc mrc")),
             (g, w) => assert_eq!(g.is_some(), w.is_some(), "m{s} pc presence"),
@@ -302,14 +302,23 @@ fn interleaved_sessions_match_direct_fits_bit_for_bit() {
     // The final per-session mrc + pc-mrc + plan queries hit the fit
     // published by the last interleaved round — the cache works over the
     // wire, and misses stay bounded by the number of invalidations.
-    assert!(get("model_cache.hits") >= (SESSIONS * 2) as f64, "cache hits over the wire");
+    assert!(
+        get("model_cache.hits") >= (SESSIONS * 2) as f64,
+        "cache hits over the wire"
+    );
     assert!(get("model_cache.misses") <= (SESSIONS * ROUNDS) as f64);
     // Per-shard gauges are present and sum within the aggregate budget.
     assert_eq!(get("sessions.shards"), 4.0);
-    let shard_sum: f64 = (0..4).map(|i| get(&format!("sessions.shard.{i}.bytes"))).sum();
+    let shard_sum: f64 = (0..4)
+        .map(|i| get(&format!("sessions.shard.{i}.bytes")))
+        .sum();
     assert!(shard_sum > 0.0);
     assert!(shard_sum <= ServeConfig::default().session_budget_bytes as f64);
-    assert_eq!(get("sessions.store_bytes"), shard_sum, "gauge matches shards");
+    assert_eq!(
+        get("sessions.store_bytes"),
+        shard_sum,
+        "gauge matches shards"
+    );
 
     c.shutdown_server().unwrap();
     handle.join();
@@ -387,7 +396,10 @@ fn malformed_frames_get_errors_without_harming_others() {
         // Same connection still serves well-formed requests.
         proto::write_frame(&mut raw, &proto::Request::Ping.encode()).unwrap();
         let body = proto::read_frame(&mut raw).unwrap().expect("pong");
-        assert_eq!(proto::Response::decode(&body).unwrap(), proto::Response::Pong);
+        assert_eq!(
+            proto::Response::decode(&body).unwrap(),
+            proto::Response::Pong
+        );
     }
 
     // Framing violation (length prefix below the minimum): the server

@@ -113,8 +113,7 @@ fn divergence_reporter_catches_a_corrupted_node() {
         .expect("corrupting submit");
     }
 
-    let report =
-        replay_against(&[addr], &trace, &ReplayConfig::default()).expect("replay runs");
+    let report = replay_against(&[addr], &trace, &ReplayConfig::default()).expect("replay runs");
     node.shutdown();
 
     assert!(
@@ -122,7 +121,11 @@ fn divergence_reporter_catches_a_corrupted_node() {
         "a pre-corrupted session must diverge from the oracle"
     );
     let d = &report.divergences[0];
-    assert_eq!(d.session.as_deref(), Some(victim.as_str()), "right session blamed");
+    assert_eq!(
+        d.session.as_deref(),
+        Some(victim.as_str()),
+        "right session blamed"
+    );
     assert_ne!(d.got, d.want, "differing response bytes captured");
     assert!(
         d.first_diff <= d.got.len().min(d.want.len()),
@@ -150,7 +153,10 @@ fn divergence_reporter_catches_a_corrupted_node() {
     assert_eq!(back.records, d.prefix, "minimal repro trace round-trips");
 
     let shown = d.to_string();
-    assert!(shown.contains("divergence at trace index"), "report: {shown}");
+    assert!(
+        shown.contains("divergence at trace index"),
+        "report: {shown}"
+    );
     assert!(shown.contains("minimal prefix"), "report: {shown}");
 }
 
@@ -174,10 +180,13 @@ fn shutdown_records_are_skipped_and_errors_match() {
             },
         ],
     };
-    let report = replay_spawned(2, &trace, &serve_cfg(), &ReplayConfig::default())
-        .expect("replay runs");
+    let report =
+        replay_spawned(2, &trace, &serve_cfg(), &ReplayConfig::default()).expect("replay runs");
     assert!(report.is_clean(), "{:?}", report.divergences);
     assert_eq!(report.skipped, 1, "the Shutdown record is not sent");
     assert_eq!(report.requests, 3);
-    assert_eq!(report.checked, 3, "ping + both error responses bit-compared");
+    assert_eq!(
+        report.checked, 3,
+        "ping + both error responses bit-compared"
+    );
 }

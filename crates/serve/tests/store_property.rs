@@ -114,7 +114,11 @@ fn random_submit_sequences_never_break_the_byte_gauges() {
         );
         // The outcome's reported aggregate agrees with the gauges too.
         let out = store.submit("final", batch(&mut rng)).unwrap();
-        assert_eq!(out.store_bytes, store.bytes(), "submit reports the true aggregate");
+        assert_eq!(
+            out.store_bytes,
+            store.bytes(),
+            "submit reports the true aggregate"
+        );
         check_invariants(&store, "final submit");
     }
 }
