@@ -40,8 +40,8 @@ pub struct StatStackBuilder {
     line_bytes: u64,
     /// Completed samples as `(end_pc, distance)`.
     reuse: Vec<(Pc, u64)>,
-    /// The PC of each dangling sample.
-    dangling: Vec<Pc>,
+    /// Dangling samples as `(pc, count)`; a PC may repeat.
+    dangling: Vec<(Pc, u64)>,
 }
 
 impl StatStackBuilder {
@@ -56,9 +56,24 @@ impl StatStackBuilder {
 
     /// Append one batch of samples (`O(b)`; sorting waits for the fit).
     pub fn push_batch(&mut self, reuse: &[ReuseSample], dangling: &[DanglingSample]) {
-        self.reuse
-            .extend(reuse.iter().map(|r| (r.end_pc, r.distance)));
-        self.dangling.extend(dangling.iter().map(|d| d.pc));
+        self.push_samples(
+            reuse.iter().map(|r| (r.end_pc, r.distance)),
+            dangling.iter().map(|d| (d.pc, 1)),
+        );
+    }
+
+    /// Append samples given in a model's own terms: completed samples as
+    /// `(end_pc, distance)` and dangling ones as `(pc, count)`, a PC
+    /// possibly more than once. A tail of a profile shipped between
+    /// nodes takes this form, one count per PC rather than one entry
+    /// per dangling sample.
+    pub fn push_samples(
+        &mut self,
+        reuse: impl IntoIterator<Item = (Pc, u64)>,
+        dangling: impl IntoIterator<Item = (Pc, u64)>,
+    ) {
+        self.reuse.extend(reuse);
+        self.dangling.extend(dangling);
     }
 
     /// Append a whole profile as one batch.
@@ -81,13 +96,12 @@ impl StatStackBuilder {
 
     /// Approximate heap bytes held by the pending samples.
     pub fn approx_heap_bytes(&self) -> usize {
-        self.reuse.len() * std::mem::size_of::<(Pc, u64)>()
-            + self.dangling.len() * std::mem::size_of::<Pc>()
+        (self.reuse.len() + self.dangling.len()) * std::mem::size_of::<(Pc, u64)>()
     }
 
     /// The pending samples as one sorted level.
     fn level(&self) -> Level {
-        Level::from_samples(self.reuse.iter().copied(), self.dangling.iter().copied())
+        Level::from_counted(self.reuse.iter().copied(), self.dangling.iter().copied())
     }
 
     /// Fit a model from the pending samples alone (no base model):
@@ -318,6 +332,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counted_samples_extend_like_the_samples_they_count() {
+        // The second half of a profile pushed as (pc, distance) pairs
+        // plus one dangling count per PC extends a fit of the first half
+        // exactly as the raw samples do.
+        let p = random_profile(17, 3000);
+        let half = p.reuse.len() / 2;
+        let mut first = StatStackModel::builder(64);
+        first.push_batch(&p.reuse[..half], &[]);
+        let first = first.fit();
+        assert_eq!(first.sample_split(), (half as u64, 0));
+        let mut counts: Vec<(Pc, u64)> = Vec::new();
+        for d in &p.dangling {
+            match counts.iter_mut().find(|(pc, _)| *pc == d.pc) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((d.pc, 1)),
+            }
+        }
+        assert!(counts.len() < p.dangling.len(), "PCs repeat");
+        let mut rest = StatStackModel::builder(64);
+        rest.push_samples(
+            p.reuse[half..].iter().map(|r| (r.end_pc, r.distance)),
+            counts,
+        );
+        let direct = StatStackModel::from_profile(&p);
+        assert_models_bit_identical(&first.extend(&rest), &direct, "counted tail");
+        assert_eq!(
+            direct.sample_split(),
+            (p.reuse.len() as u64, p.dangling.len() as u64)
+        );
     }
 
     #[test]

@@ -131,6 +131,15 @@ impl Level {
         reuse: impl ExactSizeIterator<Item = (Pc, u64)>,
         dangling: impl Iterator<Item = Pc>,
     ) -> Level {
+        Level::from_counted(reuse, dangling.map(|pc| (pc, 1)))
+    }
+
+    /// [`from_samples`](Self::from_samples), with the dangling samples
+    /// given as `(pc, count)` pairs; a PC may appear more than once.
+    pub(crate) fn from_counted(
+        reuse: impl ExactSizeIterator<Item = (Pc, u64)>,
+        dangling: impl Iterator<Item = (Pc, u64)>,
+    ) -> Level {
         let mut sorted = Vec::with_capacity(reuse.len());
         let mut per_pc: FxHashMap<Pc, PcSamples> = FxHashMap::default();
         for (pc, d) in reuse {
@@ -138,9 +147,9 @@ impl Level {
             per_pc.entry(pc).or_default().distances.push(d);
         }
         let mut n_dangling = 0u64;
-        for pc in dangling {
-            per_pc.entry(pc).or_default().dangling += 1;
-            n_dangling += 1;
+        for (pc, count) in dangling {
+            per_pc.entry(pc).or_default().dangling += count;
+            n_dangling += count;
         }
         sorted.sort_unstable();
         for s in per_pc.values_mut() {
@@ -270,6 +279,14 @@ impl StatStackModel {
     /// Dangling (never-reused) samples.
     pub(crate) fn dangling(&self) -> u64 {
         self.base.dangling + self.delta.dangling
+    }
+
+    /// The samples this model was fitted to, as `(completed, dangling)`
+    /// counts: a fit of the first `completed` reuse and `dangling`
+    /// dangling samples of a profile answers for exactly that prefix.
+    pub fn sample_split(&self) -> (u64, u64) {
+        let completed = self.base.sorted.len() + self.delta.sorted.len();
+        (completed as u64, self.dangling())
     }
 
     /// Each level's completed distances, sorted ascending.
