@@ -38,7 +38,14 @@ fn main() {
     let amd = repf_sim::amd_phenom_ii();
     bench("fig4-one-benchmark-one-policy", || {
         let plans = prepare(BenchmarkId::Libquantum, &amd, &small());
-        run_policy(BenchmarkId::Libquantum, &amd, &plans, Policy::SoftwareNt, &small()).cycles
+        run_policy(
+            BenchmarkId::Libquantum,
+            &amd,
+            &plans,
+            Policy::SoftwareNt,
+            &small(),
+        )
+        .cycles
     });
 
     // One Figure-7 mix under one policy (plans prebuilt, as in the study).
@@ -53,7 +60,14 @@ fn main() {
         ],
     };
     bench("fig7-one-mix-one-policy", || {
-        run_mix(&spec, &intel, Policy::SoftwareNt, &cache, [InputSet::Ref; 4], 0.05)
-            .makespan_cycles()
+        run_mix(
+            &spec,
+            &intel,
+            Policy::SoftwareNt,
+            &cache,
+            [InputSet::Ref; 4],
+            0.05,
+        )
+        .makespan_cycles()
     });
 }

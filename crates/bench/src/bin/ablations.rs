@@ -44,7 +44,12 @@ fn run_with_plan(
     )
 }
 
-fn profile_of(id: BenchmarkId, machine: &repf_sim::MachineConfig, scale: f64, period: u64) -> repf_sampling::Profile {
+fn profile_of(
+    id: BenchmarkId,
+    machine: &repf_sim::MachineConfig,
+    scale: f64,
+    period: u64,
+) -> repf_sampling::Profile {
     let mut w = build(
         id,
         &BuildOptions {
@@ -144,13 +149,15 @@ fn sweep_sampling_period(scale: f64) {
     let id = BenchmarkId::Mcf;
     let base = run_with_plan(id, &m, None, scale);
     let mut t = Table::new(vec![
-        "period", "samples", "est. overhead", "planned", "speedup",
+        "period",
+        "samples",
+        "est. overhead",
+        "planned",
+        "speedup",
     ]);
     for period in [101u64, 1009, 10_007, 100_003] {
         let profile = profile_of(id, &m, scale, period);
-        let oh = profile
-            .traps
-            .estimated_overhead(6000.0, profile.total_refs);
+        let oh = profile.traps.estimated_overhead(6000.0, profile.total_refs);
         let a = analyze(&profile, &m.analysis_config(6.0));
         let out = run_with_plan(id, &m, Some(a.plan.clone()), scale);
         t.row(vec![
@@ -169,7 +176,13 @@ fn sweep_sampling_period(scale: f64) {
 fn combined_policy(scale: f64) {
     println!("\n## Ablation 5: combining hardware + software prefetching (§VIII-B)");
     let m = amd_phenom_ii();
-    let mut t = Table::new(vec!["bench", "HW only", "SW+NT only", "combined", "combined traffic"]);
+    let mut t = Table::new(vec![
+        "bench",
+        "HW only",
+        "SW+NT only",
+        "combined",
+        "combined traffic",
+    ]);
     for id in [
         BenchmarkId::Libquantum,
         BenchmarkId::Cigar,
@@ -186,11 +199,9 @@ fn combined_policy(scale: f64) {
             pct(b / hw.cycles as f64 - 1.0),
             pct(b / sw.cycles as f64 - 1.0),
             pct(b / both.cycles as f64 - 1.0),
-            pct(
-                both.stats.dram_read_bytes as f64
-                    / plans.baseline.stats.dram_read_bytes.max(1) as f64
-                    - 1.0,
-            ),
+            pct(both.stats.dram_read_bytes as f64
+                / plans.baseline.stats.dram_read_bytes.max(1) as f64
+                - 1.0),
         ]);
     }
     println!("{}", t.render());
@@ -204,7 +215,13 @@ fn ghb_baseline(scale: f64) {
     println!("#  catches patterns the commodity stride/streamer models miss (milc's");
     println!("#  alternating strides) — but the traffic problem does not go away.");
     let m = amd_phenom_ii();
-    let mut t = Table::new(vec!["bench", "commodity HW", "GHB HW", "SW+NT", "GHB traffic"]);
+    let mut t = Table::new(vec![
+        "bench",
+        "commodity HW",
+        "GHB HW",
+        "SW+NT",
+        "GHB traffic",
+    ]);
     for id in [BenchmarkId::Milc, BenchmarkId::Cigar, BenchmarkId::Mcf] {
         let plans = prepare(id, &m, &opts(scale));
         let hw = run_policy(id, &m, &plans, Policy::Hardware, &opts(scale));

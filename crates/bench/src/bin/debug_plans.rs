@@ -26,7 +26,10 @@ fn main() {
         }
         println!("-- MDDLI plan --");
         for (pc, d) in p.plan_nt.iter_sorted() {
-            println!("  {pc}: dist {} stride {} nta {}", d.distance_bytes, d.stride, d.nta);
+            println!(
+                "  {pc}: dist {} stride {} nta {}",
+                d.distance_bytes, d.stride, d.nta
+            );
         }
         println!("-- stride-centric plan --");
         for (pc, d) in p.stride_centric.iter_sorted() {

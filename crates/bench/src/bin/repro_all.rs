@@ -15,7 +15,9 @@ fn main() {
     timings.time("fig3", || figs::fig3::run(scale));
     timings.time("statstack_coverage", || figs::statstack_cov::run(scale));
     timings.time("table1", || figs::table1::run(scale));
-    timings.time("fig456", || figs::fig456::run(scale, figs::fig456::Which::All));
+    timings.time("fig456", || {
+        figs::fig456::run(scale, figs::fig456::Which::All)
+    });
     let (studies, report) = figs::mixfigs::run_studies_timed(
         repf_bench::env_mixes(),
         scale,
@@ -31,7 +33,9 @@ fn main() {
     figs::mixfigs::print_fig9(&studies);
     figs::mixfigs::print_fig10(&studies);
     figs::mixfigs::print_fig11(&studies);
-    timings.time("fig8", || figs::fig8::run(scale, repf_bench::env_mix_scale()));
+    timings.time("fig8", || {
+        figs::fig8::run(scale, repf_bench::env_mix_scale())
+    });
     timings.time("fig12", || figs::fig12::run(scale));
     eprintln!(
         "[time] total (outside mix studies): {:.2}s; mix studies: {:.2}s on {} thread(s)",

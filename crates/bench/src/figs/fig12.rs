@@ -73,7 +73,11 @@ pub fn run(refs_scale: f64) {
 
     println!("\n# Figure 12: parallel workloads at 1/2/4 threads on Intel (speedup vs 1-thread baseline)");
     let mut t = Table::new(vec![
-        "bench", "threads", "Soft Pref+NT", "Hardware Pref.", "SW BW (GB/s)",
+        "bench",
+        "threads",
+        "Soft Pref+NT",
+        "Hardware Pref.",
+        "SW BW (GB/s)",
     ]);
     let mut avg: [f64; 2] = [0.0, 0.0];
     let mut rows = 0usize;
@@ -89,8 +93,22 @@ pub fn run(refs_scale: f64) {
         );
         let base_1t = run_threads(id, 1, Policy::Baseline, &plans.plan_nt, &m, refs_scale);
         for threads in [1usize, 2, 4] {
-            let sw = run_threads(id, threads, Policy::SoftwareNt, &plans.plan_nt, &m, refs_scale);
-            let hw = run_threads(id, threads, Policy::Hardware, &plans.plan_nt, &m, refs_scale);
+            let sw = run_threads(
+                id,
+                threads,
+                Policy::SoftwareNt,
+                &plans.plan_nt,
+                &m,
+                refs_scale,
+            );
+            let hw = run_threads(
+                id,
+                threads,
+                Policy::Hardware,
+                &plans.plan_nt,
+                &m,
+                refs_scale,
+            );
             // Bandwidth of the software run for the annotation.
             let opts = BuildOptions {
                 refs_scale: refs_scale / threads as f64,

@@ -100,5 +100,8 @@ pub fn run(refs_scale: f64) {
         ]);
     }
     println!("{}", t.render());
-    println!("(per-instruction curve: {}, the hot arc-array load)\n", data.hot_pc);
+    println!(
+        "(per-instruction curve: {}, the hot arc-array load)\n",
+        data.hot_pc
+    );
 }

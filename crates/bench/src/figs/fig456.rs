@@ -3,8 +3,8 @@
 //! prefetching policy, on both machines. All three figures are views of
 //! one set of runs, so they share the evaluation.
 
-use crate::soloeval::{evaluate_all, BenchEval};
 use crate::machines;
+use crate::soloeval::{evaluate_all, BenchEval};
 use repf_metrics::{table::pct, Table};
 use repf_sim::{MachineConfig, Policy};
 
@@ -130,7 +130,11 @@ fn fig6_panel(machine: &MachineConfig, evals: &[BenchEval]) {
         format!("{:.2}", sums[2] / n),
         format!("{:.2}", sums[3] / n),
     ]);
-    println!("--- {} (GB/s; peak {:.1}) ---", machine.name, machine.peak_gb_per_s());
+    println!(
+        "--- {} (GB/s; peak {:.1}) ---",
+        machine.name,
+        machine.peak_gb_per_s()
+    );
     println!("{}", t.render());
 }
 
@@ -150,14 +154,21 @@ pub enum Which {
 /// Regenerate Figures 4/5/6.
 pub fn run(refs_scale: f64, which: Which) {
     for m in machines() {
-        eprintln!("[fig4-6] evaluating 12 benchmarks x 5 policies on {} ...", m.name);
+        eprintln!(
+            "[fig4-6] evaluating 12 benchmarks x 5 policies on {} ...",
+            m.name
+        );
         let evals = evaluate_all(&m, refs_scale);
         if matches!(which, Which::Fig4 | Which::All) {
-            println!("\n# Figure 4: speedup over baseline (HW prefetch off), benchmarks in isolation");
+            println!(
+                "\n# Figure 4: speedup over baseline (HW prefetch off), benchmarks in isolation"
+            );
             fig4_panel(&m, &evals);
         }
         if matches!(which, Which::Fig5 | Which::All) {
-            println!("\n# Figure 5: increase in data volume fetched from DRAM (off-chip read traffic)");
+            println!(
+                "\n# Figure 5: increase in data volume fetched from DRAM (off-chip read traffic)"
+            );
             fig5_panel(&m, &evals);
         }
         if matches!(which, Which::Fig6 | Which::All) {

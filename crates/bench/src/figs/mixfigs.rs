@@ -1,8 +1,8 @@
 //! Figures 7, 9, 10 and 11: all views of the 180-mix studies (original
 //! inputs and alternate inputs), on both machines.
 
-use crate::mixeval::{print_distribution_pair, run_study_with, InputMode, MixStudy};
 use crate::machines;
+use crate::mixeval::{print_distribution_pair, run_study_with, InputMode, MixStudy};
 use crate::obs::{Json, Timings};
 use repf_metrics::Table;
 use repf_sim::{Exec, MachineConfig, PlanCache};
@@ -90,7 +90,14 @@ pub fn run_studies(
     mix_scale: f64,
     with_alt_inputs: bool,
 ) -> Studies {
-    run_studies_timed(n_mixes, profile_scale, mix_scale, with_alt_inputs, &Exec::from_env()).0
+    run_studies_timed(
+        n_mixes,
+        profile_scale,
+        mix_scale,
+        with_alt_inputs,
+        &Exec::from_env(),
+    )
+    .0
 }
 
 /// [`run_studies`] on an explicit engine, with per-phase wall-clock
@@ -122,14 +129,20 @@ pub fn run_studies_timed(
             )
         });
         let mut study = |label: &str, seed: u64, mode: InputMode| {
-            eprintln!("[mixes] running {n_mixes} mixes ({label} inputs) on {} ...", m.name);
+            eprintln!(
+                "[mixes] running {n_mixes} mixes ({label} inputs) on {} ...",
+                m.name
+            );
             let phase = format!("{}/mixes-{label}", m.name);
             let s = timings.time(&phase, || {
                 run_study_with(&m, &cache, n_mixes, seed, mode, mix_scale, exec)
             });
             let secs = timings.secs(&phase).unwrap_or(0.0);
             if secs > 0.0 {
-                eprintln!("[mixes]   {cells} cells in {secs:.2}s ({:.1} cells/s)", cells as f64 / secs);
+                eprintln!(
+                    "[mixes]   {cells} cells in {secs:.2}s ({:.1} cells/s)",
+                    cells as f64 / secs
+                );
             }
             s
         };
@@ -160,7 +173,10 @@ pub fn print_fig7(studies: &Studies) {
             true,
             11,
         );
-        println!("--- Off-chip traffic increase on {} (lower is better) ---", m.name);
+        println!(
+            "--- Off-chip traffic increase on {} (lower is better) ---",
+            m.name
+        );
         print_distribution_pair(
             "off-chip traffic increase over baseline mix",
             &orig.dist(false, |s| s.traffic_increase),
@@ -192,7 +208,11 @@ pub fn print_fig7(studies: &Studies) {
             ci.mean * 100.0,
             ci.lo * 100.0,
             ci.hi * 100.0,
-            if ci.excludes(0.0) { " (significant)" } else { "" }
+            if ci.excludes(0.0) {
+                " (significant)"
+            } else {
+                ""
+            }
         );
     }
 }

@@ -13,7 +13,12 @@ use repf_workloads::{build, BenchmarkId, BuildOptions};
 
 /// Coverage of StatStack's per-PC miss estimates against exact
 /// simulation: `Σ_pc min(est_misses, sim_misses) / Σ_pc sim_misses`.
-fn coverage(model: &StatStackModel, profile: &repf_sampling::Profile, sim: &FunctionalCacheSim, bytes: u64) -> f64 {
+fn coverage(
+    model: &StatStackModel,
+    profile: &repf_sampling::Profile,
+    sim: &FunctionalCacheSim,
+    bytes: u64,
+) -> f64 {
     let total = sim.totals().misses;
     if total == 0 {
         return 1.0;

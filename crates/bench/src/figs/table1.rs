@@ -104,9 +104,15 @@ pub fn run(refs_scale: f64) {
     let n = rows.len() as f64;
     t.row(vec![
         "Average".to_string(),
-        format!("{:.1}%", rows.iter().map(|r| r.mddli_cov).sum::<f64>() / n * 100.0),
+        format!(
+            "{:.1}%",
+            rows.iter().map(|r| r.mddli_cov).sum::<f64>() / n * 100.0
+        ),
         format!("{:.1}", rows.iter().map(|r| r.mddli_oh).sum::<f64>() / n),
-        format!("{:.1}%", rows.iter().map(|r| r.sc_cov).sum::<f64>() / n * 100.0),
+        format!(
+            "{:.1}%",
+            rows.iter().map(|r| r.sc_cov).sum::<f64>() / n * 100.0
+        ),
         format!("{:.1}", rows.iter().map(|r| r.sc_oh).sum::<f64>() / n),
     ]);
     println!("{}", t.render());

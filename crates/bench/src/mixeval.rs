@@ -150,10 +150,6 @@ pub fn print_distribution_pair(
     for ((q, s), (_, h)) in sw.series(points).into_iter().zip(hw.series(points)) {
         t.row(vec![format!("{:.0}%", q * 100.0), fmt(s), fmt(h)]);
     }
-    t.row(vec![
-        "mean".to_string(),
-        fmt(sw.mean()),
-        fmt(hw.mean()),
-    ]);
+    t.row(vec!["mean".to_string(), fmt(sw.mean()), fmt(hw.mean())]);
     println!("{}", t.render());
 }

@@ -52,9 +52,7 @@ impl Timings {
         Json::Arr(
             self.entries
                 .iter()
-                .map(|(l, s)| {
-                    Json::obj([("phase", Json::str(l)), ("secs", Json::Num(*s))])
-                })
+                .map(|(l, s)| Json::obj([("phase", Json::str(l)), ("secs", Json::Num(*s))]))
                 .collect(),
         )
     }

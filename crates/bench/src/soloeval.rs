@@ -29,7 +29,10 @@ impl BenchEval {
 
     /// Speedup of `policy` over the baseline.
     pub fn speedup(&self, policy: Policy) -> f64 {
-        repf_metrics::speedup(self.outcome(Policy::Baseline).cycles, self.outcome(policy).cycles)
+        repf_metrics::speedup(
+            self.outcome(Policy::Baseline).cycles,
+            self.outcome(policy).cycles,
+        )
     }
 
     /// Off-chip read-traffic increase of `policy` over the baseline

@@ -43,7 +43,10 @@ fn assert_identical(mode: InputMode, seed: u64) {
             MIX_SCALE,
             &Exec::new(threads),
         );
-        assert_eq!(serial.specs, par.specs, "mix specs drifted at {threads} threads");
+        assert_eq!(
+            serial.specs, par.specs,
+            "mix specs drifted at {threads} threads"
+        );
         assert_eq!(
             fingerprint(&serial),
             fingerprint(&par),

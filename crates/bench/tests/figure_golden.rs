@@ -54,7 +54,11 @@ fn fig3_per_instruction_curve_diverges_from_average() {
     }
 
     // And it misses substantially at L1 — that is what made it hot.
-    let l1 = data.points.iter().find(|p| p.size_bytes == 64 * 1024).unwrap();
+    let l1 = data
+        .points
+        .iter()
+        .find(|p| p.size_bytes == 64 * 1024)
+        .unwrap();
     assert!(l1.per_instruction > 0.3);
 }
 
@@ -75,7 +79,10 @@ fn table1_mddli_covers_more_with_fewer_prefetches() {
         mddli_cov,
         sc_cov
     );
-    assert!(mddli_cov > 0.3, "coverage should be substantial: {mddli_cov:.3}");
+    assert!(
+        mddli_cov > 0.3,
+        "coverage should be substantial: {mddli_cov:.3}"
+    );
 
     let mddli_pf: u64 = rows.iter().map(|r| r.mddli_prefetches).sum();
     let sc_pf: u64 = rows.iter().map(|r| r.sc_prefetches).sum();
@@ -86,7 +93,12 @@ fn table1_mddli_covers_more_with_fewer_prefetches() {
 
     // Coverage is a fraction; overheads are non-negative.
     for r in &rows {
-        assert!((0.0..=1.0).contains(&r.mddli_cov), "{}: {:?}", r.name, r.mddli_cov);
+        assert!(
+            (0.0..=1.0).contains(&r.mddli_cov),
+            "{}: {:?}",
+            r.name,
+            r.mddli_cov
+        );
         assert!((0.0..=1.0).contains(&r.sc_cov));
         assert!(r.mddli_oh >= 0.0 && r.sc_oh >= 0.0);
     }
