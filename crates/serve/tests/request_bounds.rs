@@ -1,8 +1,9 @@
 //! Work bounds per request, over real sockets against a one-worker
 //! daemon: the worst wire-legal `Place` and `CoRun` shapes are refused
-//! before any model is touched, a `Place` at the tree cap is answered,
-//! a batch no model can be built from creates no session, and every
-//! answer or refusal equals the replay oracle's bytes.
+//! before any model is touched, a `Place` at the tree cap and the
+//! widest `CoRun` the caps admit are answered in time, a batch no model
+//! can be built from creates no session, and every answer or refusal
+//! equals the replay oracle's bytes.
 
 use repf_sampling::ReuseSample;
 use repf_serve::proto::{MAX_CORUN_SESSIONS, MAX_PLACE_TREE_NODES, MAX_QUERY_SIZES};
@@ -11,6 +12,7 @@ use repf_serve::{
     Target,
 };
 use repf_statstack::tree_nodes;
+use repf_trace::rng::XorShift64Star;
 use repf_trace::{AccessKind, Pc};
 use std::time::{Duration, Instant};
 
@@ -181,6 +183,94 @@ fn oversized_size_lists_are_refused_before_any_work() {
     let (resp, _) = ask(&mut c, &mut oracle, &pc_mrc(&at_cap));
     assert!(matches!(resp, Response::PcMrc { .. }), "{resp:?}");
 
+    c.ping().expect("daemon still healthy");
+    handle.shutdown();
+}
+
+/// How long the widest `CoRun` the caps admit may take, round trip:
+/// `MAX_CORUN_SESSIONS` sessions of a few thousand samples each at
+/// `MAX_QUERY_SIZES` sizes. With each size counted on its own this
+/// request took 2.6 s on a 2-vCPU VM in the test profile; solved in
+/// halving order, 0.2–0.3 s.
+const WIDEST_CORUN_BUDGET: Duration = Duration::from_secs(2);
+
+/// A submit of `samples` reuse samples shaped like a load generator's
+/// for session `s`: a third at 400k–1M lines, and of the rest a quarter
+/// at 30k + 7k·s lines (+ up to 3k) and the others at 1–48, so the
+/// distances cluster and repeat.
+fn clustered_batch(rng: &mut XorShift64Star, s: u64, samples: u64) -> SampleBatch {
+    let mut b = SampleBatch {
+        total_refs: 1009 * samples,
+        sample_period: 1009,
+        line_bytes: 64,
+        ..SampleBatch::default()
+    };
+    for i in 0..samples {
+        let pc = 100 * (1 + rng.below(3) as u32);
+        let distance = if pc == 100 {
+            400_000 + rng.below(600_000)
+        } else if rng.below(4) == 0 {
+            30_000 + 7_000 * s + rng.below(3_000)
+        } else {
+            1 + rng.below(48)
+        };
+        b.reuse.push(ReuseSample {
+            start_pc: Pc(pc),
+            start_kind: AccessKind::Load,
+            end_pc: Pc(pc),
+            end_kind: AccessKind::Load,
+            distance,
+            start_index: i * 1009,
+        });
+    }
+    b
+}
+
+#[test]
+fn the_widest_corun_is_answered_in_time() {
+    let handle = start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    })
+    .expect("start daemon");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let mut oracle = Oracle::new();
+    let mut rng = XorShift64Star::new(0x31DE);
+    let names: Vec<String> = (0..MAX_CORUN_SESSIONS).map(|i| format!("w{i}")).collect();
+    for (s, name) in names.iter().enumerate() {
+        // A history of 2,000–5,000 samples, then a few small submits, as
+        // a session grows.
+        let history = 2_000 + 1_000 * (s as u64 % 4);
+        for samples in [history, 16, 16, 16] {
+            let req = Request::Submit {
+                session: name.clone(),
+                batch: clustered_batch(&mut rng, s as u64, samples),
+            };
+            oracle.expected(&req);
+            c.call_any(&req).expect("submit");
+        }
+    }
+    // 256 B to 6 MiB, a quarter of them repeats, shuffled.
+    let mut sizes: Vec<u64> = (1..=MAX_QUERY_SIZES as u64 * 3 / 4)
+        .map(|k| k << 8)
+        .collect();
+    while sizes.len() < MAX_QUERY_SIZES {
+        sizes.push(sizes[rng.below(sizes.len() as u64) as usize]);
+    }
+    for i in (1..sizes.len()).rev() {
+        sizes.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let (resp, elapsed) = ask(
+        &mut c,
+        &mut oracle,
+        &Request::CoRun {
+            sessions: names,
+            sizes_bytes: sizes,
+            intensities: Vec::new(),
+        },
+    );
+    assert!(matches!(resp, Response::CoRun { .. }), "{resp:?}");
+    assert!(elapsed < WIDEST_CORUN_BUDGET, "answered after {elapsed:?}");
     c.ping().expect("daemon still healthy");
     handle.shutdown();
 }

@@ -29,37 +29,58 @@
 //! count (and rounding is monotone), `⌊d·r⌋` is monotone, and the peer
 //! terms are summed in sorted order, so raising any term never lowers
 //! the sum. The missing distances thus form a suffix of each of `i`'s
-//! sorted sample levels, and one search over `i`'s own sample ranks
-//! finds where each suffix starts, probing `S_shared_i` at `i`'s own
-//! distances only:
+//! sorted sample levels, and a count is the pair of ranks, one per
+//! level, where those suffixes start. Three more monotone relations
+//! bound those ranks before any probe:
+//! - **The size.** A larger cache never misses more, so at fixed peers
+//!   each first-miss rank is non-decreasing in `L`.
+//! - **The peers.** Adding a peer adds one non-negative term to a
+//!   sorted f64 sum. Rounded addition is monotone in each operand, so
+//!   every partial sum, and `S_shared`, is at least what it was: a
+//!   superset of peers never has a later first-miss rank.
+//! - **The solo term.** `S_shared` is the solo `S_i` plus a
+//!   non-negative sum, so a distance that misses solo misses shared,
+//!   and the solo first-miss ranks — which
+//!   [`miss_ratio`](StatStackModel::miss_ratio) already finds by a rank
+//!   search with integer arithmetic — cap every shared count.
+//!
+//! A count then searches only the ranks its bracket leaves in play,
+//! probing `S_shared_i` at `i`'s own distances:
 //! - It searches the base level first, then only the delta ranks whose
-//!   distances lie strictly between the largest base distance found to
-//!   hit and the smallest found to miss, as the solo threshold search
-//!   does.
-//! - It opens on the largest distance in play, then picks each probe by
-//!   interpolating `S_shared_i` linearly in the distance between the
-//!   bracket's two known points, and takes a bisection step whenever a
-//!   probe fails to halve the bracket of ranks. A level of `len`
-//!   samples thus costs at most `2⌈log₂(len + 1)⌉ + 1` probes, whatever
-//!   `S_shared_i` looks like. Distances that cluster, as a load
-//!   generator's do, usually put the crossing in a gap between
-//!   clusters, where the line lands: such counts take three to five
-//!   probes where a bisection takes twelve or thirteen.
-//! - Each probe's `partition_point`s, into `i`'s levels and every
-//!   peer's, search only the ranks earlier probes left in play. A
-//!   model's count of distances below `⌊d·r⌋` is monotone in `d`, and
-//!   every probe lies between the bracket's two ends, so the count lies
-//!   between the counts found at those ends.
+//!   distances lie strictly between the two adjacent base distances
+//!   found, as the solo threshold search does.
+//! - With no miss known yet it opens on the largest distance in play:
+//!   when the bracket's top is the solo ceiling, that one probe often
+//!   settles the count. After that it picks each probe by interpolating
+//!   `S_shared_i` linearly in the distance between the bracket's two
+//!   known points, and takes a bisection step whenever a probe fails to
+//!   halve the bracket of ranks. A level of `len` ranks in play thus
+//!   costs at most `2⌈log₂(len + 1)⌉ + 1` probes, and a closed bracket
+//!   none.
+//!
+//! [`CoRunModel::answer_bytes`] solves each member's sizes in halving
+//! order over the member's sorted, distinct line counts: the middle one
+//! first, then each half, so every count is bracketed by the nearest
+//! smaller and larger sizes already solved, and capped by its solo
+//! ranks, found by the same search the throughput term reads its solo
+//! ratio from. A composed distance depends on the subject's rank, not
+//! on the cache size, so each member keeps every `S_shared` it computes,
+//! by level and rank, for all of the request's sizes, and computes each
+//! at most once. (The placement search keeps the per-peer terms instead,
+//! since its peer sets vary; see [`crate::placement`].)
 //!
 //! The count is the one a full-width `partition_point` per level finds:
-//! any probe order inside the bracket finds the same partition point of
-//! a monotone predicate, a confined `partition_point` returns the rank a
-//! full one returns, and each probe computes `S_shared_i` with the same
-//! operations. The search ends whatever `S_shared_i` does past the
-//! largest distance, so it needs no plateau test. (A search for the
-//! threshold over all integers does: it must notice that every
-//! contributing model is past its largest distance with no dangling
-//! mass, or it would double its bound forever.)
+//! it is the partition point of a predicate monotone in the subject's
+//! rank, every bracket above holds it, any probe order inside a bracket
+//! finds it, and a memoized `S_shared` is the float the probe computes.
+//! The search ends whatever `S_shared_i` does past the largest distance,
+//! so it needs no plateau test. (A search for the threshold over all
+//! integers does: it must notice that every contributing model is past
+//! its largest distance with no dangling mass, or it would double its
+//! bound forever.) Where a model's prefix sums wrapped past `u64::MAX`,
+//! its `S` is not monotone; the carried ranks are then clamped to
+//! `lo ≤ hi ≤ len`, so every search still ends and every ratio lies in
+//! [0, 1], but a count is a function of the probe order.
 //!
 //! The composition reuses the members' cached fits as-is — no refit, no
 //! merged profile — so a server can answer co-run queries for any subset
@@ -71,7 +92,8 @@
 //! are summed in `total_cmp`-sorted order, and a member whose peers are
 //! all idle answers **bit-identically** to its solo model.
 
-use crate::model::{RankRange, StatStackModel};
+use crate::model::StatStackModel;
+use repf_trace::hash::FxHashMap;
 
 /// Pinned miss-penalty-to-hit-cost ratio used by the mix-throughput
 /// estimate: an LLC miss is modelled as `1 + MISS_WEIGHT` time units
@@ -141,26 +163,16 @@ impl<'a> CoRunModel<'a> {
         self.members.is_empty()
     }
 
-    /// `j`'s interleaving rate relative to `i`, or `None` when `j`
-    /// cannot inflate `i` (either side idle, or `i == j`).
-    fn rate(&self, i: usize, j: usize) -> Option<f64> {
-        if i == j {
-            return None;
-        }
-        let active = |x: f64| x > 0.0 && x.is_finite();
-        let li = self.members[i].intensity;
-        let lj = self.members[j].intensity;
-        if !active(li) || !active(lj) {
-            return None;
-        }
-        Some(lj / li)
-    }
-
     /// Member `i`'s active peers: each one's model and its rate
     /// relative to `i`.
     fn active_peers(&self, i: usize) -> Vec<(&'a StatStackModel, f64)> {
+        let li = self.members[i].intensity;
         (0..self.members.len())
-            .filter_map(|j| Some((self.members[j].model, self.rate(i, j)?)))
+            .filter(|&j| j != i)
+            .filter_map(|j| {
+                let peer = &self.members[j];
+                Some((peer.model, rate(li, peer.intensity)?))
+            })
             .collect()
     }
 
@@ -190,29 +202,27 @@ impl<'a> CoRunModel<'a> {
     /// Every member's shared miss-ratio curve plus the mix-throughput
     /// estimate, over `sizes_bytes`. This is *the* answer surface — the
     /// server handler and the replay oracle both call it, so their
-    /// response bytes cannot diverge.
+    /// response bytes cannot diverge. Each value is the float
+    /// [`miss_ratio_bytes`](Self::miss_ratio_bytes) returns for its
+    /// size, found in halving order over each member's sizes (see the
+    /// module documentation).
     pub fn answer_bytes(&self, sizes_bytes: &[u64]) -> CoRunAnswer {
-        let per_member: Vec<Vec<f64>> = (0..self.members.len())
-            .map(|i| {
-                sizes_bytes
-                    .iter()
-                    .map(|&b| self.miss_ratio_bytes(i, b))
-                    .collect()
-            })
-            .collect();
-        let throughput = sizes_bytes
-            .iter()
-            .enumerate()
-            .map(|(k, &b)| {
-                let mut terms: Vec<f64> = (0..self.members.len())
-                    .map(|i| {
-                        let solo = self.members[i].model.miss_ratio_bytes(b);
-                        let shared = per_member[i][k];
-                        (1.0 + MISS_WEIGHT * solo) / (1.0 + MISS_WEIGHT * shared)
-                    })
-                    .collect();
-                terms.sort_unstable_by(f64::total_cmp);
-                terms.iter().sum()
+        let mut per_member = Vec::with_capacity(self.members.len());
+        let mut terms = vec![Vec::with_capacity(self.members.len()); sizes_bytes.len()];
+        for i in 0..self.members.len() {
+            let peers = self.active_peers(i);
+            let (solo, shared) =
+                SharedCounts::new(self.members[i].model, &peers).curves(sizes_bytes);
+            for ((t, s), x) in terms.iter_mut().zip(&solo).zip(&shared) {
+                t.push((1.0 + MISS_WEIGHT * s) / (1.0 + MISS_WEIGHT * x));
+            }
+            per_member.push(shared);
+        }
+        let throughput = terms
+            .into_iter()
+            .map(|mut t| {
+                t.sort_unstable_by(f64::total_cmp);
+                t.iter().sum()
             })
             .collect();
         CoRunAnswer {
@@ -222,9 +232,17 @@ impl<'a> CoRunModel<'a> {
     }
 }
 
+/// A peer's interleaving rate relative to a subject, from the two
+/// intensities, or `None` when either is idle (zero, negative or
+/// non-finite) and the peer cannot inflate the subject.
+pub(crate) fn rate(subject: f64, peer: f64) -> Option<f64> {
+    let active = |x: f64| x > 0.0 && x.is_finite();
+    (active(subject) && active(peer)).then(|| peer / subject)
+}
+
 /// `⌊d · r⌋`, saturating at `u64::MAX` (a peer that inflates past
 /// every observed distance contributes its full unique footprint).
-fn inflate(d: u64, r: f64) -> u64 {
+pub(crate) fn inflate(d: u64, r: f64) -> u64 {
     let x = (d as f64 * r).floor();
     if x >= u64::MAX as f64 {
         u64::MAX
@@ -233,28 +251,174 @@ fn inflate(d: u64, r: f64) -> u64 {
     }
 }
 
+/// `S_shared`: the subject's own stack distance plus the peer `terms`,
+/// summed in `total_cmp`-sorted order, which makes the sum independent
+/// of member insertion order.
+pub(crate) fn compose(own: f64, terms: &mut [f64]) -> f64 {
+    terms.sort_unstable_by(f64::total_cmp);
+    own + terms.iter().sum::<f64>()
+}
+
 /// How many of `subject`'s samples miss a shared cache of `lines`
 /// lines next to `peers` (each peer's model and rate relative to the
 /// subject): the completed distances `D` with `S_shared(D) ≥ lines`,
-/// plus every dangling sample. `S_shared` is monotone in `D`, so the
-/// misses are a suffix of each of the subject's sorted levels; one
-/// [`first_miss`] search over the base ranks, then one over the delta
-/// ranks the base bracket leaves, finds where each suffix starts, in at
-/// most `2⌈log₂(len + 1)⌉ + 1` probes a level. (Were `S_shared` not
-/// monotone, as when a model's prefix sums wrapped past `u64::MAX`,
-/// the search still ends, but its count is then a function of the
-/// probe order.)
+/// plus every dangling sample. One [`first_misses`] search between no
+/// floor and the solo ceiling finds where each level's misses start.
 fn shared_misses(subject: &StatStackModel, peers: &[(&StatStackModel, f64)], lines: u64) -> u64 {
-    let target = lines as f64;
-    let mut composed = Composed::new(subject, peers, target);
+    let ceil = subject.first_miss_ranks(lines);
+    let ranks = SharedCounts::new(subject, peers).first_misses(lines, [0, 0], ceil);
+    subject.misses_from(ranks)
+}
+
+/// One member's shared miss counts next to fixed peers, at any number
+/// of cache sizes. `S_shared` at one of the subject's distances does
+/// not depend on the size, so when more than one size is asked, every
+/// value computed is kept, by level and rank, for the counts after it.
+/// (One count never probes a rank twice.)
+struct SharedCounts<'a> {
+    subject: &'a StatStackModel,
+    peers: &'a [(&'a StatStackModel, f64)],
+    /// Per level (`[base, delta]`): rank → `S_shared` at that rank.
+    memo: [FxHashMap<usize, f64>; 2],
+    /// Whether `memo` keeps what the probes compute.
+    keep: bool,
+    /// The peer terms of one probe, sorted before they are summed.
+    terms: Vec<f64>,
+    /// How many composed distances this member computed.
+    composed: u64,
+}
+
+impl<'a> SharedCounts<'a> {
+    fn new(subject: &'a StatStackModel, peers: &'a [(&'a StatStackModel, f64)]) -> Self {
+        SharedCounts {
+            subject,
+            peers,
+            memo: Default::default(),
+            keep: false,
+            terms: Vec::with_capacity(peers.len()),
+            composed: 0,
+        }
+    }
+
+    /// `S_shared` at rank `rank` of level `level`, computed at most
+    /// once.
+    fn probe(&mut self, level: usize, rank: usize) -> f64 {
+        if let Some(&s) = self.memo[level].get(&rank) {
+            return s;
+        }
+        let d = self.subject.completed_levels()[level][rank];
+        self.terms.clear();
+        self.terms.extend(
+            self.peers
+                .iter()
+                .map(|&(peer, r)| peer.stack_distance(inflate(d, r))),
+        );
+        let s = compose(self.subject.stack_distance(d), &mut self.terms);
+        self.composed += 1;
+        if self.keep {
+            self.memo[level].insert(rank, s);
+        }
+        s
+    }
+
+    /// The first-miss ranks at `lines`, known to lie in
+    /// `floor[l]..=ceil[l]` in level `l`.
+    fn first_misses(&mut self, lines: u64, floor: [usize; 2], ceil: [usize; 2]) -> [usize; 2] {
+        let subject = self.subject;
+        first_misses(subject, floor, ceil, lines as f64, |level, rank| {
+            self.probe(level, rank)
+        })
+    }
+
+    /// The subject's solo and shared miss ratios at each of
+    /// `sizes_bytes`. The sizes are solved once per distinct line count,
+    /// in halving order over those counts sorted.
+    fn curves(&mut self, sizes_bytes: &[u64]) -> (Vec<f64>, Vec<f64>) {
+        let mut ratios = Ratios {
+            solo: vec![0.0; sizes_bytes.len()],
+            shared: vec![0.0; sizes_bytes.len()],
+            n: self.subject.sample_count() as f64,
+        };
+        if ratios.n == 0.0 {
+            return (ratios.solo, ratios.shared);
+        }
+        let mut asked: Vec<(u64, usize)> = sizes_bytes
+            .iter()
+            .enumerate()
+            .map(|(k, &b)| (b / self.subject.line_bytes(), k))
+            .collect();
+        asked.sort_unstable();
+        self.keep = asked.first().map(|a| a.0) != asked.last().map(|a| a.0);
+        let [base, delta] = self.subject.completed_levels();
+        self.solve(&asked, [0, 0], [base.len(), delta.len()], &mut ratios);
+        (ratios.solo, ratios.shared)
+    }
+
+    /// Solve the sizes `asked` (`(lines, position)` pairs sorted by
+    /// lines, every count's ranks known to lie in `lo..=hi`) in halving
+    /// order: the middle line count, capped by its solo ranks, for every
+    /// position asking it; then each side, between the ranks found and
+    /// the bracket's end.
+    fn solve(&mut self, asked: &[(u64, usize)], lo: [usize; 2], hi: [usize; 2], out: &mut Ratios) {
+        if asked.is_empty() {
+            return;
+        }
+        let lines = asked[asked.len() / 2].0;
+        let solo = self.subject.first_miss_ranks(lines);
+        let ranks = if self.peers.is_empty() {
+            solo
+        } else {
+            self.first_misses(lines, lo, [hi[0].min(solo[0]), hi[1].min(solo[1])])
+        };
+        let (below, rest) = asked.split_at(asked.partition_point(|a| a.0 < lines));
+        let (same, above) = rest.split_at(rest.partition_point(|a| a.0 == lines));
+        let solo = self.subject.misses_from(solo) as f64 / out.n;
+        let shared = self.subject.misses_from(ranks) as f64 / out.n;
+        for &(_, k) in same {
+            (out.solo[k], out.shared[k]) = (solo, shared);
+        }
+        self.solve(below, lo, ranks, out);
+        self.solve(above, ranks, hi, out);
+    }
+}
+
+/// One member's miss ratios by size position, as they are solved.
+struct Ratios {
+    solo: Vec<f64>,
+    shared: Vec<f64>,
+    /// The member's sample count.
+    n: f64,
+}
+
+/// Per level of `subject` (`[base, delta]`), the first rank whose
+/// composed stack distance, as `probe(level, rank)` computes it,
+/// reaches `target`, when level `l`'s lies in `floor[l]..=ceil[l]`.
+/// The base level is searched first; of the delta, only the ranks whose
+/// distances lie strictly between the base's last hit and first miss
+/// are left in play. Each bracket is clamped to `lo ≤ hi ≤ len`, so the
+/// search ends whatever the probes return.
+pub(crate) fn first_misses(
+    subject: &StatStackModel,
+    floor: [usize; 2],
+    ceil: [usize; 2],
+    target: f64,
+    mut probe: impl FnMut(usize, usize) -> f64,
+) -> [usize; 2] {
     let [base, delta] = subject.completed_levels();
     let mut known = Bracket::default();
-    let rb = first_miss(base, 0, base.len(), &mut known, target, |d| {
-        composed.probe(d)
+    let hi = ceil[0].min(base.len());
+    let rb = first_miss(base, floor[0].min(hi), hi, &mut known, target, |r| {
+        probe(0, r)
     });
-    let (lo, hi) = composed.delta_in_play(&known);
-    let rd = first_miss(delta, lo, hi, &mut known, target, |d| composed.probe(d));
-    (base.len() - rb + delta.len() - rd) as u64 + subject.dangling()
+    let (mut lo, mut hi) = (floor[1], ceil[1].min(delta.len()));
+    if let Some(&x) = base.get(rb) {
+        hi = hi.min(delta.partition_point(|&y| y < x));
+    }
+    if let Some(r) = rb.checked_sub(1) {
+        lo = lo.max(delta.partition_point(|&y| y <= base[r]));
+    }
+    let rd = first_miss(delta, lo.min(hi), hi, &mut known, target, |r| probe(1, r));
+    [rb, rd]
 }
 
 /// A probed subject distance and its composed stack distance.
@@ -272,88 +436,11 @@ struct Bracket {
     miss: Option<Point>,
 }
 
-/// One subject's composed stack distance next to its peers, probed at
-/// the subject's own distances. Every probe lands between the bracket's
-/// two ends, and each model's count of distances below a probe is
-/// monotone in the probed distance, so each `partition_point`, into the
-/// subject's levels and every peer's, searches only the ranks between
-/// the counts found at those two ends.
-struct Composed<'a> {
-    subject: &'a StatStackModel,
-    peers: &'a [(&'a StatStackModel, f64)],
-    target: f64,
-    /// Per model, subject first: the ranks still in play, and the counts
-    /// the last probe found.
-    ranks: Vec<(RankRange, [usize; 2])>,
-    /// The peer terms of one probe, sorted before they are summed.
-    terms: Vec<f64>,
-}
-
-impl<'a> Composed<'a> {
-    fn new(
-        subject: &'a StatStackModel,
-        peers: &'a [(&'a StatStackModel, f64)],
-        target: f64,
-    ) -> Self {
-        let ranks = std::iter::once(subject)
-            .chain(peers.iter().map(|&(p, _)| p))
-            .map(|m| (m.all_ranks(), [0; 2]))
-            .collect();
-        Composed {
-            subject,
-            peers,
-            target,
-            ranks,
-            terms: Vec::with_capacity(peers.len()),
-        }
-    }
-
-    /// `S_shared(d)`: the subject's stack distance plus the peer terms
-    /// summed in `total_cmp`-sorted order, which makes the sum
-    /// independent of member insertion order. Every model's ranks then
-    /// narrow to the side of `d` its outcome leaves in play.
-    fn probe(&mut self, d: u64) -> f64 {
-        let (own, found) = self.subject.stack_distance_within(d, &self.ranks[0].0);
-        self.ranks[0].1 = found;
-        self.terms.clear();
-        for (&(peer, rate), (range, found)) in self.peers.iter().zip(&mut self.ranks[1..]) {
-            let (term, at) = peer.stack_distance_within(inflate(d, rate), range);
-            *found = at;
-            self.terms.push(term);
-        }
-        self.terms.sort_unstable_by(f64::total_cmp);
-        let s = own + self.terms.iter().sum::<f64>();
-        let hit = s < self.target;
-        for (range, found) in &mut self.ranks {
-            if hit {
-                range.lo = *found;
-            } else {
-                range.hi = *found;
-            }
-        }
-        s
-    }
-
-    /// The subject's delta ranks that the base search leaves undecided:
-    /// past every distance up to the largest known to hit, and below
-    /// the smallest known to miss. The subject's own delta ranks in
-    /// play already end at the latter.
-    fn delta_in_play(&self, known: &Bracket) -> (usize, usize) {
-        let (range, _) = self.ranks[0];
-        let (lo, hi) = (range.lo[1], range.hi[1]);
-        let delta = self.subject.completed_levels()[1];
-        let lo = known
-            .hit
-            .map_or(lo, |p| lo + delta[lo..hi].partition_point(|&x| x <= p.d));
-        (lo, hi)
-    }
-}
-
 /// The first rank in `lo..hi` of the sorted distances `sorted` whose
-/// composed stack distance, as `probe` computes it, reaches `target`
-/// (`hi` if none does), when every rank below `lo` is known to hit and
-/// every rank from `hi` on to miss. `known` holds the probed points
-/// that bracket the crossing, and is updated with each probe.
+/// composed stack distance, as `probe(rank)` computes it, reaches
+/// `target` (`hi` if none does), when every rank below `lo` is known to
+/// hit and every rank from `hi` on to miss. `known` holds the probed
+/// points that bracket the crossing, and is updated with each probe.
 ///
 /// With no miss known yet, the first probe takes the largest distance
 /// in play: if it hits, every rank does. After that, each probe is
@@ -370,7 +457,7 @@ fn first_miss(
     mut hi: usize,
     known: &mut Bracket,
     target: f64,
-    mut probe: impl FnMut(u64) -> f64,
+    mut probe: impl FnMut(usize) -> f64,
 ) -> usize {
     let mut bisect = false;
     while lo < hi {
@@ -385,7 +472,7 @@ fn first_miss(
         let width = hi - lo;
         let p = Point {
             d: sorted[m],
-            s: probe(sorted[m]),
+            s: probe(m),
         };
         if p.s < target {
             (lo, known.hit) = (m + 1, Some(p));
@@ -418,7 +505,7 @@ fn interpolate(sorted: &[u64], lo: usize, hi: usize, known: &Bracket, target: f6
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::ModelParts;
     use repf_sampling::{DanglingSample, ReuseSample, Sampler, SamplerConfig};
@@ -563,7 +650,7 @@ mod tests {
 
     /// Seeded models: empty, dangling-only, plateaued (no dangling
     /// mass), long-tailed, and two-level ones with a non-empty delta.
-    fn seeded_models(seed: u64) -> Vec<StatStackModel> {
+    pub(crate) fn seeded_models(seed: u64) -> Vec<StatStackModel> {
         let mut rng = XorShift64Star::new(seed);
         let mut geo =
             |n: usize, mean: f64| -> Vec<u64> { (0..n).map(|_| rng.geometric(mean)).collect() };
@@ -710,7 +797,7 @@ mod tests {
 
     /// Sixteen ring sessions of 60–6,000 samples: a third two-level,
     /// two thirds one-level as a peer's pulled parts import them.
-    fn ring_models(seed: u64) -> Vec<StatStackModel> {
+    pub(crate) fn ring_models(seed: u64) -> Vec<StatStackModel> {
         let mut rng = XorShift64Star::new(seed);
         (0..16u64)
             .map(|s| {
@@ -840,9 +927,9 @@ mod tests {
             sorted.len(),
             &mut Bracket::default(),
             target,
-            |d| {
+            |m| {
                 probes += 1;
-                f(d)
+                f(sorted[m])
             },
         );
         let want = sorted.iter().position(|&d| f(d) >= target);
@@ -912,20 +999,19 @@ mod tests {
             for i in 0..4 {
                 let subject = co.members[i].model;
                 let peers = co.active_peers(i);
-                let target = lines as f64;
-                let mut composed = Composed::new(subject, &peers, target);
-                let mut known = Bracket::default();
+                let mut counts = SharedCounts::new(subject, &peers);
                 let [base, delta] = subject.completed_levels();
                 let mut probes = [0u32; 2];
-                let rb = first_miss(base, 0, base.len(), &mut known, target, |d| {
-                    probes[0] += 1;
-                    composed.probe(d)
-                });
-                let (lo, hi) = composed.delta_in_play(&known);
-                let rd = first_miss(delta, lo, hi, &mut known, target, |d| {
-                    probes[1] += 1;
-                    composed.probe(d)
-                });
+                let ranks = first_misses(
+                    subject,
+                    [0, 0],
+                    [base.len(), delta.len()],
+                    lines as f64,
+                    |level, rank| {
+                        probes[level] += 1;
+                        counts.probe(level, rank)
+                    },
+                );
                 for (level, sorted) in [base, delta].iter().enumerate() {
                     assert!(
                         probes[level] <= probe_bound(sorted.len()),
@@ -935,10 +1021,232 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    (base.len() - rb + delta.len() - rd) as u64 + subject.dangling(),
+                    subject.misses_from(ranks),
                     reference_shared_misses(subject, &peers, lines)
                 );
             }
+        }
+    }
+
+    /// `answer_bytes` before the halving order, verbatim but for the
+    /// count: every size of every member is its own count, by
+    /// [`reference_shared_misses`], and the throughput's solo ratio is a
+    /// second threshold search.
+    fn reference_answer_bytes(co: &CoRunModel, sizes_bytes: &[u64]) -> CoRunAnswer {
+        let miss_ratio_bytes = |i: usize, bytes: u64| -> f64 {
+            let m = co.members[i].model;
+            let lines = bytes / m.line_bytes();
+            let n = m.sample_count();
+            if n == 0 {
+                return 0.0;
+            }
+            let peers = co.active_peers(i);
+            if peers.is_empty() {
+                return m.miss_ratio(lines);
+            }
+            reference_shared_misses(m, &peers, lines) as f64 / n as f64
+        };
+        let per_member: Vec<Vec<f64>> = (0..co.members.len())
+            .map(|i| {
+                sizes_bytes
+                    .iter()
+                    .map(|&b| miss_ratio_bytes(i, b))
+                    .collect()
+            })
+            .collect();
+        let throughput = sizes_bytes
+            .iter()
+            .enumerate()
+            .map(|(k, &b)| {
+                let mut terms: Vec<f64> = (0..co.members.len())
+                    .map(|i| {
+                        let solo = co.members[i].model.miss_ratio_bytes(b);
+                        let shared = per_member[i][k];
+                        (1.0 + MISS_WEIGHT * solo) / (1.0 + MISS_WEIGHT * shared)
+                    })
+                    .collect();
+                terms.sort_unstable_by(f64::total_cmp);
+                terms.iter().sum()
+            })
+            .collect();
+        CoRunAnswer {
+            per_member,
+            throughput,
+        }
+    }
+
+    /// An answer's floats as bits, so NaN compares and `-0.0` does not
+    /// equal `0.0`.
+    fn bits(a: &CoRunAnswer) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let row = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            a.per_member.iter().map(|c| row(c)).collect(),
+            row(&a.throughput),
+        )
+    }
+
+    /// Sizes in bytes as a client may send them, shuffled: 0, 1 and
+    /// `u64::MAX`, sizes of every magnitude and around the ring
+    /// sessions' working sets, sizes a byte apart (equal in lines), and
+    /// repeats.
+    fn shuffled_sizes(rng: &mut XorShift64Star, count: u64) -> Vec<u64> {
+        let mut sizes = vec![0, 1, 63, 64, 127, 128, u64::MAX - 1, u64::MAX];
+        while (sizes.len() as u64) < count {
+            let b = match rng.below(4) {
+                0 => rng.below(1 << 16),
+                1 => 64 * (1 + rng.geometric(3e4)),
+                2 => 64 * (1 + rng.geometric(4e5)),
+                _ => rng.next_u64() >> rng.below(64),
+            };
+            sizes.push(b);
+            if rng.below(4) == 0 {
+                sizes.push(b.saturating_add(1));
+            }
+            if rng.below(4) == 0 {
+                sizes.push(b);
+            }
+        }
+        for i in (1..sizes.len()).rev() {
+            sizes.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        sizes
+    }
+
+    #[test]
+    fn answers_match_the_per_size_reference_bit_for_bit() {
+        let mut models = ring_models(0xA115);
+        // Empty, dangling-only, plateaued, long-tailed, two-level, a
+        // single sample and 128-byte lines.
+        models.extend(seeded_models(0x5B1E));
+        let mut rng = XorShift64Star::new(0x4A1F);
+        let (mut compared, mut members) = (0u64, [0u32; 17]);
+        for case in 0..96u32 {
+            let k = match case % 8 {
+                0 => 1,
+                1 | 2 => 2 + rng.below(3) as usize,
+                7 => 16,
+                _ => 5 + rng.below(11) as usize,
+            };
+            let mut co = CoRunModel::new();
+            for _ in 0..k {
+                let m = &models[rng.below(models.len() as u64) as usize];
+                let n = m.sample_count() as f64;
+                let lam = [
+                    n,
+                    n,
+                    3.0 * n,
+                    0.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    1e300,
+                    1e-300,
+                ][rng.below(9) as usize];
+                co.push_with_intensity(m, lam);
+            }
+            let sizes = shuffled_sizes(&mut rng, if k == 16 { 24 } else { 64 });
+            assert_eq!(
+                bits(&co.answer_bytes(&sizes)),
+                bits(&reference_answer_bytes(&co, &sizes)),
+                "case {case}: {k} members at {sizes:?}"
+            );
+            compared += (k * sizes.len()) as u64;
+            members[k] += 1;
+        }
+        assert!(compared > 25_000, "only {compared} ratios compared");
+        assert!(members[1] > 0 && members[16] > 0, "{members:?}");
+    }
+
+    #[test]
+    fn a_closed_bracket_makes_no_probe() {
+        let models = ring_models(0xC105ED);
+        // A subject that keeps a delta level, next to two peers.
+        let subject = &models[3];
+        assert!(!subject.completed_levels()[1].is_empty());
+        let peers = [(&models[1], 1.0), (&models[2], 0.5)];
+        for lines in [1u64 << 10, 1 << 15, 1 << 16, 1 << 17, 1 << 20] {
+            let ceil = subject.first_miss_ranks(lines);
+            let ranks = SharedCounts::new(subject, &peers).first_misses(lines, [0, 0], ceil);
+            let again = first_misses(subject, ranks, ranks, lines as f64, |level, rank| {
+                panic!("probed rank {rank} of level {level} inside a closed bracket")
+            });
+            assert_eq!(again, ranks, "{lines} lines");
+        }
+    }
+
+    #[test]
+    fn sixteen_sessions_at_2048_sizes_stay_under_the_pinned_probe_total() {
+        // One size at a time, these 32,768 counts compute 105,285
+        // composed distances from an empty bracket, and 81,464 under the
+        // solo ceiling; in halving order with the memo, 617.
+        const PINNED: u64 = 700;
+        let models = ring_models(0x414E47);
+        let sizes: Vec<u64> = (1..=2048u64).map(|k| k << 12).collect();
+        let mut co = CoRunModel::new();
+        models.iter().for_each(|m| co.push(m));
+        let mut composed = 0;
+        for i in 0..co.len() {
+            let peers = co.active_peers(i);
+            let mut counts = SharedCounts::new(co.members[i].model, &peers);
+            counts.curves(&sizes);
+            composed += counts.composed;
+        }
+        assert!(
+            composed <= PINNED,
+            "{composed} composed distances for 16 × 2,048 counts"
+        );
+    }
+
+    #[test]
+    fn wrapped_prefix_sums_answer_bounded_ratios() {
+        let wrapped = crate::model::wrapped_prefix_model();
+        let others = seeded_models(0x3A9);
+        let mut co = CoRunModel::new();
+        co.push(&wrapped);
+        co.push(&others[4]);
+        co.push_with_intensity(&wrapped, 3.0);
+        co.push(&others[5]);
+        let mut rng = XorShift64Star::new(0x3A9);
+        let mut sizes = shuffled_sizes(&mut rng, 200);
+        sizes.extend((50..64).map(|k| 1u64 << k));
+        let ans = co.answer_bytes(&sizes);
+        for (i, curve) in ans.per_member.iter().enumerate() {
+            for (&r, &b) in curve.iter().zip(&sizes) {
+                assert!((0.0..=1.0).contains(&r), "member {i} at {b} B: {r}");
+                let one = co.miss_ratio_bytes(i, b);
+                assert!((0.0..=1.0).contains(&one), "member {i} at {b} B: {one}");
+            }
+        }
+        assert!(ans.throughput.iter().all(|t| t.is_finite() && *t > 0.0));
+    }
+
+    #[test]
+    fn kept_distances_are_what_each_rank_composes() {
+        let models = ring_models(0x3E30);
+        let mut co = CoRunModel::new();
+        // Sessions 0, 3 and 6 keep a delta level.
+        for k in [0, 3, 6, 1] {
+            co.push(&models[k]);
+        }
+        for i in 0..co.len() {
+            let peers = co.active_peers(i);
+            let subject = co.members[i].model;
+            let mut counts = SharedCounts::new(subject, &peers);
+            counts.keep = true;
+            // Every base rank, then every delta rank, twice over.
+            for _ in 0..2 {
+                for (level, sorted) in subject.completed_levels().into_iter().enumerate() {
+                    for (rank, &d) in sorted.iter().enumerate() {
+                        assert_eq!(
+                            counts.probe(level, rank).to_bits(),
+                            reference_shared_stack_distance(&co, i, d).to_bits(),
+                            "member {i}, level {level}, rank {rank}"
+                        );
+                    }
+                }
+            }
+            let [base, delta] = subject.completed_levels();
+            assert_eq!(counts.composed, (base.len() + delta.len()) as u64);
         }
     }
 }

@@ -163,10 +163,9 @@ impl Level {
         self.sorted.len() as u64 + self.dangling
     }
 
-    /// How many completed distances are `< d`, and their sum, searching
-    /// only ranks `lo..=hi`, which must hold that count.
-    fn below_within(&self, d: u64, lo: usize, hi: usize) -> (usize, u64) {
-        let c = lo + self.sorted[lo..hi].partition_point(|&x| x < d);
+    /// How many completed distances are `< d`, and their sum.
+    fn below(&self, d: u64) -> (usize, u64) {
+        let c = self.sorted.partition_point(|&x| x < d);
         (c, self.prefix[c])
     }
 
@@ -204,14 +203,6 @@ fn merge_two(a: &[u64], b: &[u64]) -> Vec<u64> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Where a model's counts of completed distances below some distance
-/// lie: ranks `lo[l]..=hi[l]` of level `l` (`[base, delta]`).
-#[derive(Clone, Copy)]
-pub(crate) struct RankRange {
-    pub(crate) lo: [usize; 2],
-    pub(crate) hi: [usize; 2],
 }
 
 /// A fitted StatStack model: query miss ratios for any cache size, for the
@@ -307,14 +298,24 @@ impl StatStackModel {
 
     /// Samples that miss when every completed distance `≥ threshold`
     /// misses: those plus the dangling ones (`None`: dangling only).
+    #[cfg(test)]
     pub(crate) fn misses_at(&self, threshold: Option<u64>) -> u64 {
-        let completed = threshold.map_or(0, |t| {
-            self.levels()
-                .iter()
-                .map(|l| count_at_or_beyond(&l.sorted, t))
-                .sum::<u64>()
-        });
-        completed + self.dangling()
+        self.misses_from(self.ranks_at(threshold))
+    }
+
+    /// Per level (`[base, delta]`), the rank of the first completed
+    /// distance `≥ threshold` (`None`: past every one).
+    fn ranks_at(&self, threshold: Option<u64>) -> [usize; 2] {
+        self.levels()
+            .map(|l| threshold.map_or(l.sorted.len(), |t| l.sorted.partition_point(|&d| d < t)))
+    }
+
+    /// Samples that miss when each level's misses start at its rank in
+    /// `ranks`: the completed ones from there on, plus every dangling
+    /// one.
+    pub(crate) fn misses_from(&self, ranks: [usize; 2]) -> u64 {
+        let [base, delta] = self.completed_levels();
+        (base.len() - ranks[0] + delta.len() - ranks[1]) as u64 + self.dangling()
     }
 
     /// Expected stack distance for reuse distance `d`:
@@ -324,34 +325,17 @@ impl StatStackModel {
     /// and `Σ_{<d}` their distance sum, the inner sum telescopes to
     /// `S(d) = (n·d − (c(d)·d − Σ_{<d})) / n`.
     pub fn stack_distance(&self, d: u64) -> f64 {
-        self.stack_distance_within(d, &self.all_ranks()).0
-    }
-
-    /// Every rank of both levels.
-    pub(crate) fn all_ranks(&self) -> RankRange {
-        RankRange {
-            lo: [0, 0],
-            hi: [self.base.sorted.len(), self.delta.sorted.len()],
-        }
-    }
-
-    /// [`stack_distance`](Self::stack_distance)`(d)`, counting each
-    /// level's distances below `d` by a search of the ranks in `ranks`
-    /// only, which must hold those counts; also returns the counts. A
-    /// confined `partition_point` finds the rank a full one finds, so
-    /// the result is the same float whatever `ranks` holds it.
-    pub(crate) fn stack_distance_within(&self, d: u64, ranks: &RankRange) -> (f64, [usize; 2]) {
-        let (cb, sb) = self.base.below_within(d, ranks.lo[0], ranks.hi[0]);
-        let (cd, sd) = self.delta.below_within(d, ranks.lo[1], ranks.hi[1]);
         let n = self.sample_count();
         if n == 0 {
             // No information: worst case, every line unique.
-            return (d as f64, [cb, cd]);
+            return d as f64;
         }
+        let (cb, sb) = self.base.below(d);
+        let (cd, sd) = self.delta.below(d);
         let (c, sum_below) = (cb as u64 + cd as u64, sb + sd);
         let covered = c as u128 * d as u128 - sum_below as u128;
         let total = n as u128 * d as u128 - covered;
-        (total as f64 / n as f64, [cb, cd])
+        total as f64 / n as f64
     }
 
     /// Smallest reuse distance whose expected stack distance reaches
@@ -363,20 +347,28 @@ impl StatStackModel {
     /// documentation), or, for an empty model and where `lines · n`
     /// reaches 2⁵³, by bisection over `[0, lines << lines.leading_zeros()]`.
     pub fn distance_threshold(&self, lines: u64) -> Option<u64> {
-        self.threshold_and_misses(lines).0
+        self.threshold_and_ranks(lines).0
     }
 
-    /// The threshold for `lines` and the samples that miss there.
-    fn threshold_and_misses(&self, lines: u64) -> (Option<u64>, u64) {
+    /// Per level (`[base, delta]`), the rank of the first completed
+    /// distance that misses a cache of `lines` lines solo: the ranks
+    /// [`miss_ratio`](Self::miss_ratio) counts its misses from.
+    pub(crate) fn first_miss_ranks(&self, lines: u64) -> [usize; 2] {
+        self.threshold_and_ranks(lines).1
+    }
+
+    /// The threshold for `lines` and each level's first rank at or
+    /// past it.
+    fn threshold_and_ranks(&self, lines: u64) -> (Option<u64>, [usize; 2]) {
         self.crossing(lines).unwrap_or_else(|| {
             let threshold = self.bisect_threshold(lines);
-            (threshold, self.misses_at(threshold))
+            (threshold, self.ranks_at(threshold))
         })
     }
 
-    /// The threshold for `lines` and the samples that miss there, from
-    /// the sorted samples alone; `None` when the model is empty or
-    /// `lines · n` reaches 2⁵³.
+    /// The threshold for `lines` and each level's first rank at or past
+    /// it, from the sorted samples alone; `None` when the model is empty
+    /// or `lines · n` reaches 2⁵³.
     ///
     /// `n·S(d) = Σ min(x, d) + dangling·d` over the completed distances
     /// `x`, so the threshold is the smallest `d` where that sum reaches
@@ -393,8 +385,9 @@ impl StatStackModel {
     /// - A closed form in the segment between the two adjacent sample
     ///   values found. There the count `c` and sum `s` of the samples
     ///   below `d` are fixed, so `n·S(d) = s + (n − c)·d` is linear and
-    ///   the crossing is one integer division. The `n − c` samples at or
-    ///   beyond the segment are exactly those that miss.
+    ///   the crossing is one integer division. The samples at or beyond
+    ///   the segment, from the two ranks found on, are exactly those
+    ///   that miss.
     ///
     /// While `lines · n < 2⁵³`, `n·S(d) ≥ lines · n` holds exactly when
     /// the f64 quotient `stack_distance` computes is `≥ lines as f64`,
@@ -406,7 +399,7 @@ impl StatStackModel {
     /// passing distance. Prefix sums that wrapped past `u64::MAX` break
     /// that monotonicity; the search then stays bounded and answers
     /// something, but not necessarily what the bisection would.
-    fn crossing(&self, lines: u64) -> Option<(Option<u64>, u64)> {
+    fn crossing(&self, lines: u64) -> Option<(Option<u64>, [usize; 2])> {
         let n = self.sample_count();
         let goal = lines as u128 * n as u128;
         if n == 0 || goal >= 1 << 53 {
@@ -444,10 +437,10 @@ impl StatStackModel {
         let passes = |d: u64| (s + misses as u128 * d as u128) as f64 / n as f64 >= target;
         if misses == 0 {
             // A dangling-free plateau: n·S stays at `s` past every sample.
-            return (!passes(0)).then_some((None, 0));
+            return (!passes(0)).then_some((None, [rb, rd]));
         }
         let g = u64::try_from(goal.checked_sub(s)?.div_ceil(misses as u128)).ok()?;
-        (passes(g) && (g == 0 || !passes(g - 1))).then_some((Some(g), misses))
+        (passes(g) && (g == 0 || !passes(g - 1))).then_some((Some(g), [rb, rd]))
     }
 
     /// The threshold by bisection over `[0, lines << lines.leading_zeros()]`,
@@ -470,7 +463,7 @@ impl StatStackModel {
         if n == 0 {
             return 0.0;
         }
-        self.threshold_and_misses(lines).1 as f64 / n as f64
+        self.misses_from(self.first_miss_ranks(lines)) as f64 / n as f64
     }
 
     /// Application miss ratio for a cache of `bytes` capacity.
@@ -602,6 +595,42 @@ impl StatStackModel {
             entry.dangling += pc_dangling;
         }
         Self::from_level(line_bytes, Level::new(sorted, dangling, map))
+    }
+}
+
+/// A two-level model whose base prefix sums wrapped past `u64::MAX`:
+/// distances of 2⁶³ + k wrap them (release builds wrap where test
+/// builds would panic in `Level::new`), while each wrapped sum stays
+/// below 2⁶³, so `stack_distance` can still add a small delta to it.
+/// Its `S` is not monotone.
+#[cfg(test)]
+pub(crate) fn wrapped_prefix_model() -> StatStackModel {
+    let sorted: Vec<u64> = (0..64u64).map(|k| (1 << 63) + k * 1013).collect();
+    let prefix = std::iter::once(0)
+        .chain(sorted.iter().scan(0u64, |acc, &d| {
+            *acc = acc.wrapping_add(d);
+            Some(*acc)
+        }))
+        .collect();
+    let mut per_pc = FxHashMap::default();
+    per_pc.insert(
+        Pc(1),
+        PcSamples {
+            distances: sorted.clone(),
+            dangling: 3,
+        },
+    );
+    let base = Level {
+        sorted,
+        prefix,
+        dangling: 3,
+        per_pc,
+    };
+    let delta = Level::from_samples([(Pc(2), 5), (Pc(2), 700)].into_iter(), [].into_iter());
+    StatStackModel {
+        line_bytes: 64,
+        base: Arc::new(base),
+        delta,
     }
 }
 
@@ -1085,38 +1114,8 @@ mod tests {
 
     #[test]
     fn wrapped_prefix_sums_stay_bounded() {
-        // Distances of 2⁶³ + k wrap the base's prefix sums (release
-        // builds wrap where test builds would panic in `Level::new`),
-        // while each wrapped sum stays below 2⁶³, so `stack_distance`
-        // can still add a small delta to it here. S is no longer
-        // monotone; every query must still return.
-        let sorted: Vec<u64> = (0..64u64).map(|k| (1 << 63) + k * 1013).collect();
-        let prefix = std::iter::once(0)
-            .chain(sorted.iter().scan(0u64, |acc, &d| {
-                *acc = acc.wrapping_add(d);
-                Some(*acc)
-            }))
-            .collect();
-        let mut per_pc = FxHashMap::default();
-        per_pc.insert(
-            Pc(1),
-            PcSamples {
-                distances: sorted.clone(),
-                dangling: 3,
-            },
-        );
-        let base = Level {
-            sorted,
-            prefix,
-            dangling: 3,
-            per_pc,
-        };
-        let delta = Level::from_samples([(Pc(2), 5), (Pc(2), 700)].into_iter(), [].into_iter());
-        let m = StatStackModel {
-            line_bytes: 64,
-            base: Arc::new(base),
-            delta,
-        };
+        // S is no longer monotone; every query must still return.
+        let m = wrapped_prefix_model();
         let mut rng = XorShift64Star::new(9);
         let sizes = probe_sizes(&m, &mut rng);
         for &lines in &sizes {

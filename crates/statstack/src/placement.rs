@@ -14,13 +14,26 @@
 //! with spare capacity or opens the next group — this kills group-label
 //! symmetry). Three mechanisms keep it fast:
 //!
-//! 1. **Memoized composition cache.** Group costs depend only on the
-//!    member *set*, and members are appended in ascending index order,
-//!    so every subset is evaluated through a cache keyed on its sorted
-//!    index list — each `CoRunModel` evaluation happens at most once
-//!    across the whole search (including the brute-force baseline and
-//!    the greedy seed). Per-member terms are `total_cmp`-sorted before
-//!    summing so a subset's cost is a pure function of the set.
+//! 1. **Memoized composition.** Group costs depend only on the member
+//!    *set*, and members are appended in ascending index order, so
+//!    every subset is evaluated through a cache keyed on its sorted
+//!    index list — each group is costed at most once across the whole
+//!    search (including the brute-force baseline and the greedy seed).
+//!    Per-member terms are `total_cmp`-sorted before summing so a
+//!    subset's cost is a pure function of the set. Below that cache,
+//!    each session keeps, for the whole search, its own stack distance
+//!    and each peer's inflated term at every rank of its distances a
+//!    count probed, by level and rank: a peer's term depends on the two
+//!    sessions only, not on the group, so each is computed at most
+//!    once, and a probe in a later group is a sort and a sum. Each
+//!    count is bracketed before its first probe (see [`crate::corun`]):
+//!    it misses no later than with every active session of the request
+//!    as a peer, a superset of any group's peers, and no earlier than
+//!    solo. Inside that bracket the opening probe, at its top rank,
+//!    settles most counts. `Search::result` reads the winner's
+//!    throughput terms from the same memo instead of recomposing its
+//!    groups. A session's answer is the float a [`CoRunModel`] over the
+//!    group computes for it.
 //! 2. **Branch-and-bound pruning.** Peer-intensity monotonicity
 //!    (property-tested in `corun_property.rs`: adding a peer never
 //!    lowers a member's miss ratio) licenses per-session floors: on
@@ -52,15 +65,17 @@
 //!
 //!    What the bound buys, single-threaded over the unit tests'
 //!    `pool()` models on a 2-vCPU Xeon VM (EXPERIMENTS.md, "Co-run
-//!    composition cost"): at `N=8, G=2, k=4` it explores 25–126 of 126
-//!    nodes in 0.4–0.7 ms, against 0.3–0.4 ms for
-//!    [`place_exhaustive`]; since shared miss counts got cheap, the
-//!    bound costs more than it saves at this shape. At `N=12, G=3,
-//!    k=4` it explores 150–203 of 18,378 nodes in 4–5 ms where it
-//!    prunes (32 KiB, 64 KiB), against 10–11 ms exhaustive; where
-//!    every grouping ties (256 KiB, 8 MiB) nothing prunes and the
-//!    per-node bound makes the full walk cost 65–102 ms, against
-//!    6–11 ms.
+//!    counts bracketed by what the request knows"): at `N=8, G=2, k=4`
+//!    it explores 25–126 of 126 nodes in 0.20–0.30 ms, against
+//!    0.11–0.22 ms for [`place_exhaustive`], and over ring-shaped
+//!    sessions 0.30–0.32 ms against 0.17–0.26 ms. At this shape, the
+//!    `ring` workload's, the bound still costs more than it saves,
+//!    even where it prunes: cheap counts left the per-node bound as
+//!    the difference. At `N=12, G=3, k=4` it explores 150–203 of
+//!    18,378 nodes in 2.9–3.3 ms where it prunes (32 KiB, 64 KiB),
+//!    against 5.5–9.4 ms exhaustive; where every grouping ties
+//!    (256 KiB, 8 MiB) nothing prunes and the per-node bound makes the
+//!    full walk cost 65–94 ms, against 6–10 ms.
 //! 3. **Deterministic parallelism** in the style of `repf_sim::Exec`.
 //!    A sequential breadth-first pass expands the tree to a
 //!    thread-count-*independent* frontier (≤ [`FRONTIER_TARGET`]
@@ -77,9 +92,12 @@
 //! scenario compares node counts against. [`tree_nodes`] counts that
 //! tree without walking it, which lets a server bound a request's work
 //! before resolving any model.
+//!
+//! [`CoRunModel`]: crate::CoRunModel
 
-use crate::corun::CoRunModel;
+use crate::corun::{compose, first_misses, inflate, rate, MISS_WEIGHT};
 use crate::model::StatStackModel;
+use repf_trace::hash::FxHashMap;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -116,6 +134,8 @@ pub struct PlacementResult {
     /// Σ over groups of the [`CoRunModel`] mix-throughput estimate at
     /// the target size (each group contributes ≤ its member count;
     /// `N` total means "no interference anywhere").
+    ///
+    /// [`CoRunModel`]: crate::CoRunModel
     pub throughput: f64,
     /// Search-tree nodes visited (root, interior, and leaf states).
     pub nodes_explored: u64,
@@ -218,10 +238,32 @@ where
 /// computed at most once.
 type SubsetCell = Arc<OnceLock<(f64, Vec<f64>)>>;
 
+/// One session's shared miss counts at the search's target size, across
+/// every group it is costed in. A peer's term at one of the session's
+/// distances depends on the two sessions only, not on the group, so
+/// each is computed at most once per search.
+struct Subject {
+    /// The target size in this session's lines.
+    lines: u64,
+    /// Per level, the first rank that misses solo: every count's
+    /// ceiling, and the solo miss count.
+    solo: [usize; 2],
+    /// Per level, the first rank that misses with every active session
+    /// of the request as a peer: every count's floor, found on first
+    /// use.
+    all: Option<[usize; 2]>,
+    /// Per level (`[base, delta]`): rank → where that rank's row starts
+    /// in `kept`.
+    rows: [FxHashMap<usize, usize>; 2],
+    /// Rows of `1 + n` values: the session's own stack distance at the
+    /// rank's distance, then each session's term there (NaN until
+    /// computed; never computed for itself or an idle session).
+    kept: Vec<f64>,
+}
+
 struct Search<'a> {
     models: &'a [&'a StatStackModel],
     intensities: &'a [f64],
-    size_bytes: u64,
     capacity: usize,
     max_groups: usize,
     /// Per-session admissible floor on its final term (solo cost, or
@@ -239,6 +281,8 @@ struct Search<'a> {
     /// baseline.
     peer_floor: Vec<Vec<(Vec<u16>, f64)>>,
     memo: Mutex<HashMap<Vec<u16>, SubsetCell>>,
+    /// Per session, its counts' brackets and composed-distance terms.
+    subjects: Vec<Mutex<Subject>>,
 }
 
 impl<'a> Search<'a> {
@@ -247,18 +291,32 @@ impl<'a> Search<'a> {
         intensities: &'a [f64],
         groups: u32,
         capacity: u32,
+        size_bytes: u64,
     ) -> Search<'a> {
         let n = models.len();
+        let subjects = models
+            .iter()
+            .map(|m| {
+                let lines = size_bytes / m.line_bytes();
+                Mutex::new(Subject {
+                    lines,
+                    solo: m.first_miss_ranks(lines),
+                    all: None,
+                    rows: Default::default(),
+                    kept: Vec::new(),
+                })
+            })
+            .collect();
         Search {
             models,
             intensities,
-            size_bytes: 0,
             capacity: capacity.min(n as u32) as usize,
             max_groups: (groups as usize).min(n),
             lb: vec![0.0; n],
             forced: 0,
             peer_floor: vec![Vec::new(); n],
             memo: Mutex::new(HashMap::new()),
+            subjects,
         }
     }
 
@@ -287,16 +345,121 @@ impl<'a> Search<'a> {
     }
 
     fn eval_subset(&self, members: &[u16]) -> (f64, Vec<f64>) {
-        let mut co = CoRunModel::new();
-        for &i in members {
-            co.push_with_intensity(self.models[i as usize], self.intensities[i as usize]);
-        }
-        let terms: Vec<f64> = (0..members.len())
-            .map(|p| co.miss_ratio_bytes(p, self.size_bytes))
+        let terms: Vec<f64> = members
+            .iter()
+            .map(|&s| self.shared_ratio(s as usize, members))
             .collect();
         let mut sorted = terms.clone();
         sorted.sort_unstable_by(f64::total_cmp);
         (sorted.iter().sum(), terms)
+    }
+
+    /// Session `j`'s rate relative to session `i`, or `None` when it
+    /// cannot inflate `i`, as in a [`CoRunModel`](crate::CoRunModel).
+    fn rate(&self, i: usize, j: usize) -> Option<f64> {
+        (i != j)
+            .then(|| rate(self.intensities[i], self.intensities[j]))
+            .flatten()
+    }
+
+    /// Session `i`'s solo miss ratio at the target size: what
+    /// [`StatStackModel::miss_ratio`] returns, from the ranks every
+    /// count of `i` is capped by.
+    fn solo_ratio(&self, i: usize) -> f64 {
+        let m = self.models[i];
+        let n = m.sample_count();
+        if n == 0 {
+            return 0.0;
+        }
+        let solo = self.subjects[i].lock().expect("subject poisoned").solo;
+        m.misses_from(solo) as f64 / n as f64
+    }
+
+    /// Session `i`'s shared miss ratio at the target size when grouped
+    /// with `members`: the float [`CoRunModel`](crate::CoRunModel)
+    /// computes for it. The count is bracketed by the session's solo
+    /// ranks and by its ranks with every active session of the request
+    /// as a peer — a superset of any group's, so they never miss later.
+    fn shared_ratio(&self, i: usize, members: &[u16]) -> f64 {
+        let m = self.models[i];
+        let n = m.sample_count();
+        if n == 0 {
+            return 0.0;
+        }
+        let peers: Vec<usize> = members
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| self.rate(i, j).is_some())
+            .collect();
+        let mut subject = self.subjects[i].lock().expect("subject poisoned");
+        let ranks = if peers.is_empty() {
+            subject.solo
+        } else {
+            let floor = match subject.all {
+                Some(all) => all,
+                None => {
+                    let every: Vec<usize> = (0..self.models.len())
+                        .filter(|&j| self.rate(i, j).is_some())
+                        .collect();
+                    let all = self.first_misses(i, &mut subject, [0, 0], &every);
+                    subject.all = Some(all);
+                    all
+                }
+            };
+            self.first_misses(i, &mut subject, floor, &peers)
+        };
+        m.misses_from(ranks) as f64 / n as f64
+    }
+
+    /// Session `i`'s first-miss ranks next to `peers` (all active),
+    /// known to lie between `floor` and its solo ranks.
+    fn first_misses(
+        &self,
+        i: usize,
+        subject: &mut Subject,
+        floor: [usize; 2],
+        peers: &[usize],
+    ) -> [usize; 2] {
+        let mut terms = Vec::with_capacity(peers.len());
+        let (ceil, target) = (subject.solo, subject.lines as f64);
+        first_misses(self.models[i], floor, ceil, target, |level, rank| {
+            self.composed(i, subject, peers, level, rank, &mut terms)
+        })
+    }
+
+    /// Session `i`'s `S_shared` next to `peers` (all active) at rank
+    /// `rank` of level `level` of its distances, from the terms kept in
+    /// `subject`'s row for that rank, computing the ones missing.
+    /// `terms` holds the peer terms, reused from probe to probe.
+    fn composed(
+        &self,
+        i: usize,
+        subject: &mut Subject,
+        peers: &[usize],
+        level: usize,
+        rank: usize,
+        terms: &mut Vec<f64>,
+    ) -> f64 {
+        let m = self.models[i];
+        let d = m.completed_levels()[level][rank];
+        let width = 1 + self.models.len();
+        let row = *subject.rows[level].entry(rank).or_insert_with(|| {
+            let row = subject.kept.len();
+            subject.kept.resize(row + width, f64::NAN);
+            subject.kept[row] = m.stack_distance(d);
+            row
+        });
+        let values = &mut subject.kept[row..row + width];
+        terms.clear();
+        for &j in peers {
+            let t = &mut values[1 + j];
+            if t.is_nan() {
+                let r = self.rate(i, j).expect("peers are active");
+                *t = self.models[j].stack_distance(inflate(d, r));
+            }
+            terms.push(*t);
+        }
+        compose(values[0], terms)
     }
 
     /// Admissible floor on member `m`'s *final* term given its current
@@ -739,13 +902,21 @@ impl<'a> Search<'a> {
             groups[g].push(s as u16);
         }
         let total: f64 = groups.iter().map(|g| self.subset_cost(g)).sum();
+        // Each group's mix throughput, from the shared ratios its cost
+        // was summed from, as `CoRunAnswer::throughput` sums it.
         let mut throughput = 0.0;
         for g in &groups {
-            let mut co = CoRunModel::new();
-            for &i in g {
-                co.push_with_intensity(self.models[i as usize], self.intensities[i as usize]);
-            }
-            throughput += co.answer_bytes(&[self.size_bytes]).throughput[0];
+            let cell = self.subset_entry(g);
+            let shared = &cell.get_or_init(|| self.eval_subset(g)).1;
+            let mut terms: Vec<f64> = g
+                .iter()
+                .zip(shared)
+                .map(|(&s, &x)| {
+                    (1.0 + MISS_WEIGHT * self.solo_ratio(s as usize)) / (1.0 + MISS_WEIGHT * x)
+                })
+                .collect();
+            terms.sort_unstable_by(f64::total_cmp);
+            throughput += terms.iter().sum::<f64>();
         }
         PlacementResult {
             groups: groups
@@ -825,6 +996,8 @@ pub fn tree_nodes(n: usize, groups: u32, capacity: u32) -> u64 {
 /// as in [`CoRunModel::push_with_intensity`]. The result — including
 /// `nodes_explored` and `pruned` — is bit-identical for every
 /// `threads` value.
+///
+/// [`CoRunModel::push_with_intensity`]: crate::CoRunModel::push_with_intensity
 pub fn place(
     models: &[&StatStackModel],
     intensities: &[f64],
@@ -835,8 +1008,7 @@ pub fn place(
 ) -> PlacementResult {
     check_instance(models, intensities, groups, capacity);
     let n = models.len();
-    let mut search = Search::new(models, intensities, groups, capacity);
-    search.size_bytes = size_bytes;
+    let mut search = Search::new(models, intensities, groups, capacity, size_bytes);
     if n == 0 {
         return search.result(&[], 0, 0);
     }
@@ -929,8 +1101,7 @@ pub fn place_exhaustive(
 ) -> PlacementResult {
     check_instance(models, intensities, groups, capacity);
     let n = models.len();
-    let mut search = Search::new(models, intensities, groups, capacity);
-    search.size_bytes = size_bytes;
+    let search = Search::new(models, intensities, groups, capacity, size_bytes);
     if n == 0 {
         return search.result(&[], 0, 0);
     }
@@ -942,6 +1113,7 @@ pub fn place_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corun::CoRunModel;
     use repf_sampling::{Sampler, SamplerConfig};
     use repf_trace::patterns::{StridedStream, StridedStreamCfg};
     use repf_trace::Pc;
@@ -1184,6 +1356,138 @@ mod tests {
                 tree_nodes(n, groups, cap),
                 "{n}/{groups}/{cap}"
             );
+        }
+    }
+
+    /// Ring-shaped sessions (a third keep a delta level) and the co-run
+    /// tests' corner models: empty, dangling-only, plateaued,
+    /// long-tailed, two-level, a single sample and 128-byte lines.
+    fn mixed_models() -> Vec<StatStackModel> {
+        let mut v = crate::corun::tests::ring_models(0x91ACE);
+        v.extend(crate::corun::tests::seeded_models(0x91ACE));
+        v
+    }
+
+    /// Every group of one to four of `n` sessions, smallest first.
+    fn small_groups(n: u16) -> Vec<Vec<u16>> {
+        let mut groups: Vec<Vec<u16>> = (1u32..1 << n)
+            .filter(|set| set.count_ones() <= 4)
+            .map(|set| (0..n).filter(|&s| set >> s & 1 == 1).collect())
+            .collect();
+        groups.sort_by_key(|g| g.len());
+        groups
+    }
+
+    #[test]
+    fn group_ratios_match_corun_in_either_evaluation_order() {
+        let pool = mixed_models();
+        let mut rng = repf_trace::rng::XorShift64Star::new(0x6E0);
+        for case in 0..24usize {
+            let n = 5 + rng.below(4) as usize;
+            let m: Vec<&StatStackModel> = (0..n)
+                .map(|_| &pool[rng.below(pool.len() as u64) as usize])
+                .collect();
+            let lam: Vec<f64> = m
+                .iter()
+                .map(|x| {
+                    let s = x.sample_count() as f64;
+                    [s, s, 2.5 * s, 0.0, f64::NAN, f64::INFINITY, 1e300, 1e-300]
+                        [rng.below(8) as usize]
+                })
+                .collect();
+            let bytes = [16u64 << 10, 1 << 20, 4 << 20, 8 << 20, 64 << 20][case % 5];
+            // Smallest groups first, so a session's count with few peers
+            // comes before its counts with more; or largest first.
+            let mut groups = small_groups(n as u16);
+            if case % 2 == 1 {
+                groups.reverse();
+            }
+            let search = Search::new(&m, &lam, 1, n as u32, bytes);
+            for g in &groups {
+                let (cost, terms) = search.eval_subset(g);
+                let mut co = CoRunModel::new();
+                for &i in g {
+                    co.push_with_intensity(m[i as usize], lam[i as usize]);
+                }
+                let mut want: Vec<f64> = (0..g.len())
+                    .map(|p| co.miss_ratio_bytes(p, bytes))
+                    .collect();
+                for (p, (t, w)) in terms.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        t.to_bits(),
+                        w.to_bits(),
+                        "case {case}: session {} of {g:?} at {bytes} B",
+                        g[p]
+                    );
+                }
+                want.sort_unstable_by(f64::total_cmp);
+                assert_eq!(cost.to_bits(), want.iter().sum::<f64>().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_prefix_sums_place_within_bounds() {
+        let wrapped = crate::model::wrapped_prefix_model();
+        let others = pool(4);
+        let m: Vec<&StatStackModel> = vec![
+            &wrapped, &others[0], &wrapped, &others[1], &others[2], &others[3],
+        ];
+        let mut lam: Vec<f64> = m.iter().map(|x| x.sample_count() as f64).collect();
+        lam[2] = 3.0;
+        for bytes in [64u64, 1 << 20, 8 << 20, 1 << 40, 1 << 62, u64::MAX] {
+            for r in [
+                place(&m, &lam, 2, 3, bytes, 2),
+                place_exhaustive(&m, &lam, 2, 3, bytes),
+            ] {
+                assert!(
+                    (0.0..=6.0).contains(&r.total_miss_ratio),
+                    "{bytes} B: {}",
+                    r.total_miss_ratio
+                );
+                assert!(r.throughput.is_finite() && r.throughput > 0.0);
+            }
+            let search = Search::new(&m, &lam, 2, 3, bytes);
+            for g in small_groups(6) {
+                let (_, terms) = search.eval_subset(&g);
+                assert!(
+                    terms.iter().all(|t| (0.0..=1.0).contains(t)),
+                    "{bytes} B, {g:?}: {terms:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kept_terms_compose_what_each_rank_composes() {
+        let pool = mixed_models();
+        // Ring sessions 0, 3 and 6 keep a delta level.
+        let m: Vec<&StatStackModel> = [0, 3, 6, 1, 2].iter().map(|&k| &pool[k]).collect();
+        let lam = [1.0, 2_000.0, 40.0, 700.0, 5_000.0];
+        let search = Search::new(&m, &lam, 1, 5, 8 << 20);
+        let mut terms = Vec::new();
+        for i in 0..m.len() {
+            let peers: Vec<usize> = (0..m.len()).filter(|&j| j != i).collect();
+            let mut subject = search.subjects[i].lock().unwrap();
+            // Every base rank, then every delta rank; each with one peer,
+            // then with all four, so rows fill in parts.
+            for (level, sorted) in m[i].completed_levels().into_iter().enumerate() {
+                for (rank, &d) in sorted.iter().enumerate() {
+                    for peers in [&peers[..1], &peers[..]] {
+                        let got = search.composed(i, &mut subject, peers, level, rank, &mut terms);
+                        let mut want: Vec<f64> = peers
+                            .iter()
+                            .map(|&j| m[j].stack_distance(inflate(d, lam[j] / lam[i])))
+                            .collect();
+                        let want = compose(m[i].stack_distance(d), &mut want);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "session {i}, level {level}, rank {rank}, peers {peers:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
