@@ -12,7 +12,7 @@ use repf_cache::{CacheConfig, FunctionalCacheSim, MemorySystem};
 use repf_core::analyze;
 use repf_sampling::{ReuseSample, Sampler, SamplerConfig};
 use repf_sim::{amd_phenom_ii, intel_i7_2600k, CoreSetup, Sim};
-use repf_statstack::{place, place_exhaustive, CoRunModel, StatStackModel};
+use repf_statstack::{place, CoRunModel, StatStackModel};
 use repf_trace::patterns::{StridedStream, StridedStreamCfg};
 use repf_trace::rng::XorShift64Star;
 use repf_trace::{AccessKind, Pc, TraceSource, TraceSourceExt};
@@ -194,23 +194,21 @@ fn bench_corun_and_placement() {
         ring.iter().for_each(|m| co.push(m));
         co.answer_bytes(&widest)
     });
-    // The `ring` workload's `Place`: 8 of its sessions into 2 groups of
-    // 4 at 8 MiB.
-    let ring_refs: Vec<&StatStackModel> = ring[..8].iter().collect();
-    let ring_lam: Vec<f64> = ring_refs.iter().map(|m| m.sample_count() as f64).collect();
-    bench("placement", "place-ring-8-into-2x4", 0, || {
-        place(&ring_refs, &ring_lam, 2, 4, 8 << 20, 1)
-    });
-    bench("placement", "place-exhaustive-ring-8-into-2x4", 0, || {
-        place_exhaustive(&ring_refs, &ring_lam, 2, 4, 8 << 20)
-    });
+    // The `ring` workload's `Place`, 8 of its sessions into 2 groups of
+    // 4 at 8 MiB; and the slowest shape the tree cap admits, 15 into 2
+    // groups of 8.
+    let ring_lam: Vec<f64> = ring.iter().map(|m| m.sample_count() as f64).collect();
+    for (n, groups, capacity) in [(8usize, 2u32, 4u32), (15, 2, 8)] {
+        let ring_refs: Vec<&StatStackModel> = ring[..n].iter().collect();
+        let shape = format!("ring-{n}-into-{groups}x{capacity}");
+        bench("placement", &format!("place-{shape}"), 0, || {
+            place(&ring_refs, &ring_lam[..n], groups, capacity, 8 << 20)
+        });
+    }
     for (n, groups, capacity) in [(8usize, 2u32, 4u32), (12, 3, 4)] {
         let shape = format!("{n}-into-{groups}x{capacity}");
         bench("placement", &format!("place-{shape}"), 0, || {
-            place(&refs[..n], &lam[..n], groups, capacity, 8 << 20, 1)
-        });
-        bench("placement", &format!("place-exhaustive-{shape}"), 0, || {
-            place_exhaustive(&refs[..n], &lam[..n], groups, capacity, 8 << 20)
+            place(&refs[..n], &lam[..n], groups, capacity, 8 << 20)
         });
     }
 }

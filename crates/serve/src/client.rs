@@ -235,8 +235,7 @@ impl Client {
     /// groups of at most `capacity` members, minimizing the predicted
     /// aggregate miss ratio at `size_bytes`. Returns the winning
     /// grouping (session names, canonical order), its aggregate miss
-    /// ratio and throughput estimate, and the search counters
-    /// `(nodes_explored, pruned)`.
+    /// ratio and throughput estimate, and the nodes the walk visited.
     #[allow(clippy::type_complexity)]
     pub fn place(
         &mut self,
@@ -245,7 +244,7 @@ impl Client {
         capacity: u32,
         size_bytes: u64,
         intensities: Vec<f64>,
-    ) -> Result<(Vec<Vec<String>>, f64, f64, (u64, u64)), ClientError> {
+    ) -> Result<(Vec<Vec<String>>, f64, f64, u64), ClientError> {
         match self.call(&Request::Place {
             sessions,
             groups,
@@ -258,13 +257,7 @@ impl Client {
                 total_miss_ratio,
                 throughput,
                 nodes_explored,
-                pruned,
-            } => Ok((
-                groups,
-                total_miss_ratio,
-                throughput,
-                (nodes_explored, pruned),
-            )),
+            } => Ok((groups, total_miss_ratio, throughput, nodes_explored)),
             _ => Err(ClientError::Unexpected("want Placement")),
         }
     }

@@ -278,10 +278,8 @@ pub struct Metrics {
     pub cluster_ring_nodes: AtomicU64,
     /// This node's ring ownership share, in parts-per-million (gauge).
     pub cluster_ring_share_ppm: AtomicU64,
-    /// Search-tree nodes explored across all placement queries.
+    /// Tree nodes the placement walk visited across all queries.
     pub placement_nodes_explored: AtomicU64,
-    /// Branches cut by the placement bound across all queries.
-    pub placement_pruned: AtomicU64,
     /// Latency of MRC-class queries (application and per-PC).
     pub mrc_latency: LatencyHisto,
     /// Latency of co-run queries (includes any remote model pulls).
@@ -422,7 +420,6 @@ impl Metrics {
             "placement.nodes_explored".into(),
             g(&self.placement_nodes_explored),
         ));
-        out.push(("placement.pruned".into(), g(&self.placement_pruned)));
         for (label, h) in [
             ("mrc", &self.mrc_latency),
             ("corun", &self.corun_latency),

@@ -570,10 +570,10 @@ pub enum Response {
         /// Weighted-speedup-style throughput estimate per size.
         throughput: Vec<f64>,
     },
-    /// Reply to [`Request::Place`]: the searched-best assignment.
-    /// Everything here — the counters included — is a deterministic
-    /// function of the request and the session models, so replay
-    /// digests cover the whole reply.
+    /// Reply to [`Request::Place`]: the best assignment. Everything
+    /// here — the node count included — is a deterministic function of
+    /// the request and the session models, so replay digests cover the
+    /// whole reply.
     Placement {
         /// Non-empty groups in canonical order (ordered by their
         /// earliest-named member; members in request-name order).
@@ -583,10 +583,9 @@ pub enum Response {
         total_miss_ratio: f64,
         /// Σ over groups of the mix-throughput estimate.
         throughput: f64,
-        /// Search-tree nodes the branch-and-bound visited.
+        /// Tree nodes the placement walk visited: `tree_nodes` of the
+        /// request's shape.
         nodes_explored: u64,
-        /// Branches cut by the admissible bound.
-        pruned: u64,
     },
     /// The bounded request queue is full — retry later.
     Busy,
@@ -1394,7 +1393,6 @@ impl Response {
                 total_miss_ratio,
                 throughput,
                 nodes_explored,
-                pruned,
             } => {
                 e.u8(T_PLACE_REPLY);
                 e.u32(groups.len() as u32);
@@ -1404,7 +1402,6 @@ impl Response {
                 e.f64(*total_miss_ratio);
                 e.f64(*throughput);
                 e.u64(*nodes_explored);
-                e.u64(*pruned);
             }
             Response::Busy => e.u8(T_BUSY),
             Response::Error { code, message } => {
@@ -1538,7 +1535,6 @@ impl Response {
                     total_miss_ratio: d.f64()?,
                     throughput: d.f64()?,
                     nodes_explored: d.u64()?,
-                    pruned: d.u64()?,
                 }
             }
             T_BUSY => Response::Busy,
@@ -1769,14 +1765,12 @@ mod tests {
                 total_miss_ratio: 0.375,
                 throughput: 3.5,
                 nodes_explored: 421,
-                pruned: 77,
             },
             Response::Placement {
                 groups: vec![vec!["solo".into()]],
                 total_miss_ratio: f64::MIN_POSITIVE,
                 throughput: 1.0,
                 nodes_explored: 1,
-                pruned: 0,
             },
         ];
         for resp in resps {
@@ -2195,7 +2189,6 @@ mod tests {
             total_miss_ratio: 0.5,
             throughput: 1.75,
             nodes_explored: 10,
-            pruned: 3,
         }
         .encode();
         for cut in 0..f.len() - 4 {

@@ -488,7 +488,7 @@ impl Oracle {
             intensities.to_vec()
         };
         let result =
-            repf_statstack::placement::place(&models, &weights, groups, capacity, size_bytes, 1);
+            repf_statstack::placement::place(&models, &weights, groups, capacity, size_bytes);
         Response::Placement {
             groups: result
                 .groups
@@ -498,7 +498,6 @@ impl Oracle {
             total_miss_ratio: result.total_miss_ratio,
             throughput: result.throughput,
             nodes_explored: result.nodes_explored,
-            pruned: result.pruned,
         }
     }
 

@@ -451,18 +451,10 @@ impl ServeState {
                 let resp = metrics.placement_latency.time(|| {
                     self.handle_place(sessions, *groups, *capacity, *size_bytes, intensities, plan)
                 });
-                if let Response::Placement {
-                    nodes_explored,
-                    pruned,
-                    ..
-                } = &resp
-                {
+                if let Response::Placement { nodes_explored, .. } = &resp {
                     self.metrics
                         .placement_nodes_explored
                         .fetch_add(*nodes_explored, Ordering::Relaxed);
-                    self.metrics
-                        .placement_pruned
-                        .fetch_add(*pruned, Ordering::Relaxed);
                 }
                 resp
             }
@@ -1256,7 +1248,7 @@ impl ServeState {
             intensities.to_vec()
         };
         let result = metrics.placement_search_latency.time(|| {
-            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes, 1)
+            repf_statstack::placement::place(&refs, &weights, groups, capacity, size_bytes)
         });
         Response::Placement {
             groups: result
@@ -1267,7 +1259,6 @@ impl ServeState {
             total_miss_ratio: result.total_miss_ratio,
             throughput: result.throughput,
             nodes_explored: result.nodes_explored,
-            pruned: result.pruned,
         }
     }
 

@@ -165,8 +165,8 @@ impl Trace {
     }
 }
 
-/// Captures request frames in order as they are issued; [`finish`]
-/// (Self::finish) seals the capture into a [`Trace`].
+/// Captures request frames in order as they are issued;
+/// [`finish`](Self::finish) seals the capture into a [`Trace`].
 pub struct TraceRecorder {
     seed: u64,
     records: Vec<Request>,

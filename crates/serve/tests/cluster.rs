@@ -132,9 +132,9 @@ fn replay_digest_is_invariant_across_cluster_shapes_and_churn() {
         .filter(|r| matches!(r, repf_serve::Request::CoRun { .. }))
         .count();
     assert!(corun_ops > 0, "generated trace must exercise co_run");
-    // Placement replies carry the full search outcome (grouping, cost,
-    // nodes-explored/pruned counters); keeping them in the digest is
-    // what pins the search to be node-count invariant.
+    // Placement replies carry the full outcome (grouping, cost, the
+    // walk's node count); keeping them in the digest is what pins the
+    // placement to be node-count invariant.
     let place_ops = trace
         .records
         .iter()
@@ -345,8 +345,8 @@ fn corun_pulls_cache_remote_models_instead_of_refetching() {
 /// 3-node ring) and across which member is asked: peer-owned session
 /// models resolve through the same `ModelPullCurrent` pulls co-run
 /// uses, and the search itself is deterministic, so the whole reply —
-/// grouping, aggregate cost, throughput, and even the
-/// nodes-explored/pruned counters — must not depend on cluster shape.
+/// grouping, aggregate cost, throughput, and even the walk's node
+/// count — must not depend on cluster shape.
 #[test]
 fn placement_is_bit_identical_across_ring_sizes_and_members() {
     let sessions: Vec<String> = (0..8).map(|i| format!("place-s{i}")).collect();
@@ -364,7 +364,7 @@ fn placement_is_bit_identical_across_ring_sizes_and_members() {
     solo.shutdown();
     // 8 sessions with capacity 3 need all 3 groups.
     assert_eq!(reference.0.len(), groups as usize);
-    assert!(reference.3 .0 > 0, "search must explore nodes");
+    assert!(reference.3 > 0, "search must explore nodes");
 
     // 3-node ring: every member must answer the same bytes.
     let nodes: Vec<_> = (0..3)
@@ -409,7 +409,7 @@ fn placement_is_bit_identical_across_ring_sizes_and_members() {
     // Intensity overrides are part of the same invariance, and a
     // different weighting is allowed to pick a different grouping.
     let weights: Vec<f64> = (0..sessions.len()).map(|i| 1.0 + i as f64).collect();
-    type PlaceReply = (Vec<Vec<String>>, f64, f64, (u64, u64));
+    type PlaceReply = (Vec<Vec<String>>, f64, f64, u64);
     let mut first: Option<PlaceReply> = None;
     for h in &nodes {
         let mut c = Client::connect(h.addr()).expect("connect member");

@@ -179,7 +179,6 @@ fn corpus() -> Vec<Vec<u8>> {
             total_miss_ratio: 0.375,
             throughput: 3.5,
             nodes_explored: 19,
-            pruned: 6,
         },
         Response::RingInfo {
             epoch: 3,

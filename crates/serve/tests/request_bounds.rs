@@ -1,9 +1,9 @@
 //! Work bounds per request, over real sockets against a one-worker
 //! daemon: the worst wire-legal `Place` and `CoRun` shapes are refused
-//! before any model is touched, a `Place` at the tree cap and the
-//! widest `CoRun` the caps admit are answered in time, a batch no model
-//! can be built from creates no session, and every answer or refusal
-//! equals the replay oracle's bytes.
+//! before any model is touched, a `Place` at the tree cap, the slowest
+//! `Place` and the widest `CoRun` the caps admit are answered in time,
+//! a batch no model can be built from creates no session, and every
+//! answer or refusal equals the replay oracle's bytes.
 
 use repf_sampling::ReuseSample;
 use repf_serve::proto::{MAX_CORUN_SESSIONS, MAX_PLACE_TREE_NODES, MAX_QUERY_SIZES};
@@ -128,7 +128,7 @@ fn oversized_placement_trees_are_refused_and_the_cap_is_answered() {
     assert_eq!((tree, n, groups, capacity), (19_356, 11, 6, 2));
     let (resp, _) = ask(&mut c, &mut oracle, &place(&names, n, groups, capacity));
     match resp {
-        Response::Placement { nodes_explored, .. } => assert!(nodes_explored <= tree),
+        Response::Placement { nodes_explored, .. } => assert_eq!(nodes_explored, tree),
         other => panic!("at-cap shape must be answered, got {other:?}"),
     }
     // The CI placement smoke's shape stays inside the cap.
@@ -226,8 +226,10 @@ fn clustered_batch(rng: &mut XorShift64Star, s: u64, samples: u64) -> SampleBatc
     b
 }
 
-#[test]
-fn the_widest_corun_is_answered_in_time() {
+/// A one-worker daemon holding `MAX_CORUN_SESSIONS` sessions of
+/// [`clustered_batch`] submits, with an oracle that saw the same
+/// submits, and the generator for what the test draws next.
+fn clustered_daemon() -> (ServerHandle, Client, Oracle, Vec<String>, XorShift64Star) {
     let handle = start(ServeConfig {
         threads: 1,
         ..ServeConfig::default()
@@ -250,6 +252,33 @@ fn the_widest_corun_is_answered_in_time() {
             c.call_any(&req).expect("submit");
         }
     }
+    (handle, c, oracle, names, rng)
+}
+
+/// How long the slowest `Place` the tree cap admits may take, round
+/// trip. Timed in process over every admitted shape, no walk took more
+/// than 0.1 s; 15 sessions into 2 groups of 8 at 8 MiB, among the
+/// slowest, took 45–65 ms over sessions shaped like these.
+const SLOWEST_PLACE_BUDGET: Duration = Duration::from_secs(2);
+
+#[test]
+fn the_slowest_admitted_place_is_answered_in_time() {
+    let (handle, mut c, mut oracle, names, _) = clustered_daemon();
+    let (resp, elapsed) = ask(&mut c, &mut oracle, &place(&names, 15, 2, 8));
+    match resp {
+        Response::Placement { nodes_explored, .. } => {
+            assert_eq!(nodes_explored, tree_nodes(15, 2, 8))
+        }
+        other => panic!("15 into 2x8 must be answered, got {other:?}"),
+    }
+    assert!(elapsed < SLOWEST_PLACE_BUDGET, "answered after {elapsed:?}");
+    c.ping().expect("daemon still healthy");
+    handle.shutdown();
+}
+
+#[test]
+fn the_widest_corun_is_answered_in_time() {
+    let (handle, mut c, mut oracle, names, mut rng) = clustered_daemon();
     // 256 B to 6 MiB, a quarter of them repeats, shuffled.
     let mut sizes: Vec<u64> = (1..=MAX_QUERY_SIZES as u64 * 3 / 4)
         .map(|k| k << 8)

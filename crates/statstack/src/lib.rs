@@ -54,5 +54,5 @@ pub use builder::StatStackBuilder;
 pub use corun::{CoRunAnswer, CoRunModel, MISS_WEIGHT};
 pub use curve::MissRatioCurve;
 pub use model::{ModelParts, StatStackModel};
-pub use placement::{place, place_exhaustive, tree_nodes, PlacementResult};
+pub use placement::{place, tree_nodes, PlacementResult};
 pub use window::WindowedModel;

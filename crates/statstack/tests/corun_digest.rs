@@ -9,14 +9,14 @@
 //! - intensities of 0, NaN, ±inf, negative, subnormal and extreme
 //!   ratios (rates that overflow to inf or underflow to 0);
 //! - sizes of 0 and 1 line, and sizes past every distance;
-//! - placement shapes forcing 0–3 peers on every session, N ≤ 12.
+//! - placement shapes forcing 0–5 peers on every session, N ≤ 12.
 //!
 //! The serving layer's replay digests lean on these answers, so a
 //! change that is meant to make composition or placement faster must
 //! leave [`PINNED`] as it is.
 
 use repf_sampling::{DanglingSample, ReuseSample};
-use repf_statstack::{place, CoRunModel, ModelParts, StatStackModel};
+use repf_statstack::{place, tree_nodes, CoRunModel, ModelParts, StatStackModel};
 use repf_trace::rng::XorShift64Star;
 use repf_trace::{AccessKind, Pc};
 
@@ -255,10 +255,10 @@ fn order_sensitive_digest(d: &mut Digest) {
 
 fn place_digest(pool: &[StatStackModel], d: &mut Digest) {
     let mut rng = XorShift64Star::new(0x91_ACE);
-    // (N, G, k): forced peers max(0, N-1-(G-1)k), capped at 3 by the
-    // search: 0 for (1,1,1), (3,3,1), (7,4,2); 1 for (4,2,2), (6,3,2),
-    // (10,3,4); 2 for (6,2,3), (9,3,3), (12,4,3); 3 for (6,1,6),
-    // (8,2,4), (12,3,4).
+    // (N, G, k): every session has at least max(0, N-1-(G-1)k) peers:
+    // 0 for (1,1,1), (3,3,1), (7,4,2); 1 for (4,2,2), (6,3,2), (10,3,4);
+    // 2 for (6,2,3), (9,3,3), (12,4,3); 3 for (8,2,4), (12,3,4); 5 for
+    // (6,1,6).
     let shapes: [(usize, u32, u32); 12] = [
         (1, 1, 1),
         (3, 3, 1),
@@ -281,7 +281,8 @@ fn place_digest(pool: &[StatStackModel], d: &mut Digest) {
                 .collect();
             let lam = rates(mode, &models, &mut rng);
             let size = sizes[(s + c) % sizes.len()];
-            let r = place(&models, &lam, groups, capacity, size, 1);
+            let r = place(&models, &lam, groups, capacity, size);
+            assert_eq!(r.nodes_explored, tree_nodes(n, groups, capacity));
             d.word(r.groups.len() as u64);
             for g in &r.groups {
                 d.word(g.len() as u64);

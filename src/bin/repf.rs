@@ -248,12 +248,12 @@ usage: repf place <session> <session> [...] --addr HOST:PORT
 
 Search assignments of the named sessions into G cache-sharing groups of
 at most K members each, minimizing the predicted aggregate shared-cache
-miss ratio at one cache size. The server runs a memoized
-branch-and-bound over the canonical partition space (bit-identical at
-any thread count, ring size, or queried member) and answers the winning
-grouping, its aggregate miss ratio and throughput estimate, plus the
-nodes-explored/pruned search counters. Sessions owned by other ring
-nodes are resolved through cluster model pulls.\n
+miss ratio at one cache size. The server walks every canonical
+partition, costing each group once (bit-identical at any ring size or
+queried member), and answers the winning grouping, its aggregate miss
+ratio and throughput estimate, plus the number of tree nodes walked.
+Sessions owned by other ring nodes are resolved through cluster model
+pulls.\n
   --addr H:P   a cluster member to ask (required)
   --groups G   cache-sharing groups (required)
   --capacity K max sessions per group (required)
@@ -988,7 +988,7 @@ fn cmd_place(a: &Args) {
         eprintln!("connect to {addr} failed: {e}");
         std::process::exit(1);
     });
-    let (placement, total, throughput, (nodes_explored, pruned)) = client
+    let (placement, total, throughput, nodes_explored) = client
         .place(sessions.clone(), groups, capacity, size_bytes, a.intensities.clone())
         .unwrap_or_else(|e| {
             eprintln!("place failed: {e}");
@@ -1003,7 +1003,7 @@ fn cmd_place(a: &Args) {
     }
     println!("  aggregate predicted miss ratio {total:.6}");
     println!("  mix throughput estimate       {throughput:.3}");
-    println!("  search: {nodes_explored} nodes explored, {pruned} pruned");
+    println!("  search: {nodes_explored} nodes explored");
 }
 
 /// `RingGet` against one node, unwrapped: what membership does it
