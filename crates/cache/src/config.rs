@@ -1,6 +1,5 @@
 //! Cache geometry configuration.
 
-
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -31,7 +30,8 @@ impl CacheConfig {
         assert!(self.line_bytes.is_power_of_two(), "line size power of two");
         assert!(self.assoc > 0, "associativity must be positive");
         assert!(
-            self.size_bytes.is_multiple_of(self.line_bytes * self.assoc as u64),
+            self.size_bytes
+                .is_multiple_of(self.line_bytes * self.assoc as u64),
             "size {} not divisible by line*assoc",
             self.size_bytes
         );

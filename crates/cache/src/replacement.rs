@@ -240,7 +240,10 @@ mod tests {
         let seq = same_set_cycle(8, 50);
         assert!(run::<TrueLru>(seq.clone()) < 0.05);
         assert!(run::<TreePlru>(seq.clone()) < 0.05);
-        assert!(run::<RandomRepl>(seq) < 0.25, "random may self-evict a little");
+        assert!(
+            run::<RandomRepl>(seq) < 0.25,
+            "random may self-evict a little"
+        );
     }
 
     #[test]

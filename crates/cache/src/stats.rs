@@ -2,7 +2,6 @@
 //! hardware performance counters the paper reads (off-chip traffic, misses
 //! per level, prefetch usefulness).
 
-
 /// Per-core demand/prefetch counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {

@@ -160,7 +160,9 @@ pub fn run_adaptive_many<F>(
 where
     F: Fn() -> Box<dyn TraceSource> + Sync,
 {
-    exec.map(cfgs, |_, cfg| run_adaptive(machine, make_source(), base_cpr, cfg))
+    exec.map(cfgs, |_, cfg| {
+        run_adaptive(machine, make_source(), base_cpr, cfg)
+    })
 }
 
 #[cfg(test)]
@@ -214,7 +216,10 @@ mod tests {
             "each window finds the active stream: {:?}",
             out.plan_sizes
         );
-        assert!(out.sampling_overhead_cycles > 0, "online monitoring is not free");
+        assert!(
+            out.sampling_overhead_cycles > 0,
+            "online monitoring is not free"
+        );
     }
 
     #[test]

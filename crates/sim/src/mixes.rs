@@ -1,11 +1,11 @@
 //! Mixed-workload experiments: the 180 random 4-application mixes of
 //! §VII-C/D (Figures 7–11).
 
+use crate::exec::Exec;
 use crate::machine::MachineConfig;
 use crate::policy::Policy;
 use crate::runner::{CoreSetup, Sim, SoloOutcome};
 use crate::solo::{prepare, BenchPlans};
-use crate::exec::Exec;
 use repf_trace::rng::XorShift64Star;
 use repf_trace::TraceSourceExt;
 use repf_workloads::{build, BenchmarkId, BuildOptions, InputSet};
@@ -147,7 +147,10 @@ impl MixOutcome {
 
     /// Total off-chip traffic including writebacks.
     pub fn total_bytes(&self) -> u64 {
-        self.per_app.iter().map(|o| o.stats.dram_total_bytes()).sum()
+        self.per_app
+            .iter()
+            .map(|o| o.stats.dram_total_bytes())
+            .sum()
     }
 
     /// Completion time of the whole mix (slowest app).
@@ -204,9 +207,7 @@ pub fn run_mix(
                 Policy::SoftwareNt | Policy::Combined => Some(plans.plan_nt.clone()),
                 Policy::StrideCentric => Some(plans.stride_centric.clone()),
             };
-            let hw = policy
-                .uses_hardware()
-                .then(|| machine.make_hw_prefetcher());
+            let hw = policy.uses_hardware().then(|| machine.make_hw_prefetcher());
             CoreSetup {
                 source: Box::new(w.cycle()),
                 base_cpr,
@@ -277,8 +278,22 @@ mod tests {
                 BenchmarkId::Gcc,
             ],
         };
-        let base = run_mix(&spec, &m, Policy::Baseline, &cache, [InputSet::Ref; 4], 0.02);
-        let sw = run_mix(&spec, &m, Policy::SoftwareNt, &cache, [InputSet::Ref; 4], 0.02);
+        let base = run_mix(
+            &spec,
+            &m,
+            Policy::Baseline,
+            &cache,
+            [InputSet::Ref; 4],
+            0.02,
+        );
+        let sw = run_mix(
+            &spec,
+            &m,
+            Policy::SoftwareNt,
+            &cache,
+            [InputSet::Ref; 4],
+            0.02,
+        );
         assert_eq!(base.per_app.len(), 4);
         let speedups = sw.speedups_vs(&base);
         assert_eq!(speedups.len(), 4);
@@ -309,11 +324,18 @@ mod tests {
             ],
         };
         let run = || {
-            run_mix(&spec, &m, Policy::Hardware, &cache, [InputSet::Ref; 4], 0.01)
-                .per_app
-                .iter()
-                .map(|o| o.cycles)
-                .collect::<Vec<_>>()
+            run_mix(
+                &spec,
+                &m,
+                Policy::Hardware,
+                &cache,
+                [InputSet::Ref; 4],
+                0.01,
+            )
+            .per_app
+            .iter()
+            .map(|o| o.cycles)
+            .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

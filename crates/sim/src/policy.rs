@@ -1,6 +1,5 @@
 //! The five prefetch policies of the evaluation (Figures 4–7).
 
-
 /// Prefetching policy for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Policy {

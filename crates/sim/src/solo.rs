@@ -32,7 +32,12 @@ pub struct BenchPlans {
     pub baseline: SoloOutcome,
 }
 
-fn workload_setup(w: Workload, policy: Policy, plans: Option<&BenchPlans>, machine: &MachineConfig) -> CoreSetup {
+fn workload_setup(
+    w: Workload,
+    policy: Policy,
+    plans: Option<&BenchPlans>,
+    machine: &MachineConfig,
+) -> CoreSetup {
     let base_cpr = w.base_cpr;
     let target_refs = w.nominal_refs;
     let plan = plans.and_then(|p| match policy {
@@ -41,9 +46,7 @@ fn workload_setup(w: Workload, policy: Policy, plans: Option<&BenchPlans>, machi
         Policy::SoftwareNt | Policy::Combined => Some(p.plan_nt.clone()),
         Policy::StrideCentric => Some(p.stride_centric.clone()),
     });
-    let hw = policy
-        .uses_hardware()
-        .then(|| machine.make_hw_prefetcher());
+    let hw = policy.uses_hardware().then(|| machine.make_hw_prefetcher());
     CoreSetup {
         source: Box::new(w.cycle()),
         base_cpr,
@@ -201,7 +204,13 @@ mod tests {
             plans.plan_nt.nta_count() > 0,
             "pure streams get NT prefetches"
         );
-        let sw = run_policy(BenchmarkId::Libquantum, &m, &plans, Policy::SoftwareNt, &opts());
+        let sw = run_policy(
+            BenchmarkId::Libquantum,
+            &m,
+            &plans,
+            Policy::SoftwareNt,
+            &opts(),
+        );
         assert!(
             sw.cycles < plans.baseline.cycles,
             "software prefetching speeds libquantum up ({} vs {})",

@@ -46,8 +46,7 @@ fn intel_adjacent_line_doubles_chase_traffic_amd_does_not() {
     let intel_base = Sim::run_solo(&intel, chase_setup(false, &intel));
     let intel_hw = Sim::run_solo(&intel, chase_setup(true, &intel));
 
-    let amd_inc =
-        amd_hw.stats.dram_read_bytes as f64 / amd_base.stats.dram_read_bytes as f64 - 1.0;
+    let amd_inc = amd_hw.stats.dram_read_bytes as f64 / amd_base.stats.dram_read_bytes as f64 - 1.0;
     let intel_inc =
         intel_hw.stats.dram_read_bytes as f64 / intel_base.stats.dram_read_bytes as f64 - 1.0;
     assert!(

@@ -1,6 +1,5 @@
 //! Core memory-reference types shared by every crate in the workspace.
 
-
 /// Default cache-line size used throughout the reproduction (both machines
 /// in the paper use 64 B lines).
 pub const LINE_BYTES: u64 = 64;
@@ -12,9 +11,7 @@ pub const LINE_BYTES: u64 = 64;
 /// analogs allocate disjoint `Pc` ranges to their constituent access
 /// patterns so per-instruction analyses (stride profiling, per-PC miss-ratio
 /// curves, prefetch insertion) can distinguish them.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct Pc(pub u32);
 
 impl Pc {

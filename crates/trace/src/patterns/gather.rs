@@ -170,7 +170,11 @@ mod tests {
     fn index_walk_is_strided() {
         let mut g = Gather::new(cfg());
         let refs = g.collect_refs(20);
-        let idx: Vec<u64> = refs.iter().filter(|r| r.pc == Pc(1)).map(|r| r.addr).collect();
+        let idx: Vec<u64> = refs
+            .iter()
+            .filter(|r| r.pc == Pc(1))
+            .map(|r| r.addr)
+            .collect();
         for w in idx.windows(2) {
             assert_eq!(w[1] - w[0], 4);
         }

@@ -123,7 +123,9 @@ impl TraceSource for StridedStream {
         }
         let addr = self.addr_of(self.elem);
         let r = MemRef::load(self.cfg.pc, addr);
-        if self.cfg.store_period != 0 && (self.elem + 1).is_multiple_of(self.cfg.store_period as u64) {
+        if self.cfg.store_period != 0
+            && (self.elem + 1).is_multiple_of(self.cfg.store_period as u64)
+        {
             let store_addr = addr.wrapping_add_signed(self.cfg.store_offset);
             self.pending_store = Some(MemRef::store(self.cfg.store_pc, store_addr));
         }

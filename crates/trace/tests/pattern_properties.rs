@@ -44,7 +44,11 @@ fn strided_stream_properties() {
         let total = cfg.total_refs();
         let mut s = StridedStream::new(cfg);
         let refs = s.collect_refs(u64::MAX);
-        assert_eq!(refs.len() as u64, total, "total_refs agrees with the stream");
+        assert_eq!(
+            refs.len() as u64,
+            total,
+            "total_refs agrees with the stream"
+        );
         for r in &refs {
             assert!(r.addr >= 4096 && r.addr < 4096 + len, "in region");
         }

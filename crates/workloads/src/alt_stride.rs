@@ -99,7 +99,10 @@ mod tests {
     fn strides_alternate() {
         let mut s = AlternatingStride::new(cfg());
         let refs = s.collect_refs(6);
-        let d: Vec<i64> = refs.windows(2).map(|w| (w[1].addr - w[0].addr) as i64).collect();
+        let d: Vec<i64> = refs
+            .windows(2)
+            .map(|w| (w[1].addr - w[0].addr) as i64)
+            .collect();
         assert_eq!(d, vec![64, 80, 64, 80, 64]);
     }
 

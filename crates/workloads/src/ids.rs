@@ -1,6 +1,5 @@
 //! Benchmark identifiers and build options.
 
-
 /// The 12 single-threaded benchmarks of Table I.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BenchmarkId {
@@ -81,7 +80,12 @@ pub enum ParallelId {
 impl ParallelId {
     /// All four, in Figure 12 order.
     pub fn all() -> [ParallelId; 4] {
-        [ParallelId::Swim, ParallelId::Cg, ParallelId::Fma3d, ParallelId::Dc]
+        [
+            ParallelId::Swim,
+            ParallelId::Cg,
+            ParallelId::Fma3d,
+            ParallelId::Dc,
+        ]
     }
 
     /// Display name (with the paper's `*` marking the bandwidth-bound two).

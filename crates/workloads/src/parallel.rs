@@ -9,9 +9,7 @@
 
 use crate::ids::{BuildOptions, ParallelId};
 use crate::workload::Workload;
-use repf_trace::patterns::{
-    Gather, GatherCfg, Mix, MixEnd, StridedStream, StridedStreamCfg,
-};
+use repf_trace::patterns::{Gather, GatherCfg, Mix, MixEnd, StridedStream, StridedStreamCfg};
 use repf_trace::rng::sub_seed;
 use repf_trace::{Pc, TraceSource, TraceSourceExt};
 
@@ -122,14 +120,8 @@ pub fn streams_probe(threads: usize, refs_per_thread: u64) -> Vec<Workload> {
     (0..threads)
         .map(|t| {
             let base = (t as u64) << 40;
-            let src = StridedStream::new(StridedStreamCfg::loads(
-                Pc(0),
-                base,
-                1 << 30,
-                64,
-                64,
-            ))
-            .take_refs(refs_per_thread);
+            let src = StridedStream::new(StridedStreamCfg::loads(Pc(0), base, 1 << 30, 64, 64))
+                .take_refs(refs_per_thread);
             Workload::new("streams", 1.0, refs_per_thread, Box::new(src))
         })
         .collect()

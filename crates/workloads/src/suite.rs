@@ -71,7 +71,14 @@ fn stream(pc: u32, base: u64, len: u64, stride: i64) -> Box<dyn TraceSource> {
     )))
 }
 
-fn rw_stream(pc: u32, store_pc: u32, base: u64, len: u64, stride: i64, store_period: u32) -> Box<dyn TraceSource> {
+fn rw_stream(
+    pc: u32,
+    store_pc: u32,
+    base: u64,
+    len: u64,
+    stride: i64,
+    store_period: u32,
+) -> Box<dyn TraceSource> {
     Box::new(StridedStream::new(StridedStreamCfg {
         pc: Pc(pc),
         store_pc: Pc(store_pc),
@@ -98,7 +105,14 @@ fn alt(pc: u32, base: u64, len: u64, a: u64, b: u64) -> Box<dyn TraceSource> {
 /// A pointer chase with heap-locality runs: `run_len` > 1 models
 /// allocation-order traversal locality, which is what baits hardware
 /// streamers into useless tail prefetches on pointer-heavy codes.
-fn chase(pc: u32, payloads: u32, base: u64, nodes: u64, seed: u64, run_len: u32) -> Box<dyn TraceSource> {
+fn chase(
+    pc: u32,
+    payloads: u32,
+    base: u64,
+    nodes: u64,
+    seed: u64,
+    run_len: u32,
+) -> Box<dyn TraceSource> {
     chase_nodes(pc, payloads, base, nodes, seed, run_len, 64)
 }
 
@@ -252,7 +266,10 @@ fn mcf(c: &Ctx) -> (Vec<Part>, f64) {
         vec![
             (stream(0, c.region(0), c.sz(24 << 20), 192), 3),
             (alt(1, c.region(1), c.sz(12 << 20), 192, 240), 1),
-            (chase_nodes(2, 1, c.region(2), c.n(256 << 10), c.sub(0), 3, 128), 10),
+            (
+                chase_nodes(2, 1, c.region(2), c.n(256 << 10), c.sub(0), 3, 128),
+                10,
+            ),
             (chase(5, 0, c.region(4), c.n(24 << 10), c.sub(2), 1), 4),
             (hot(4, c.region(3)), 29),
         ],
@@ -265,7 +282,10 @@ fn mcf(c: &Ctx) -> (Vec<Part>, f64) {
 fn omnetpp(c: &Ctx) -> (Vec<Part>, f64) {
     (
         vec![
-            (chase_nodes(0, 1, c.region(0), c.n(256 << 10), c.sub(0), 2, 128), 12),
+            (
+                chase_nodes(0, 1, c.region(0), c.n(256 << 10), c.sub(0), 2, 128),
+                12,
+            ),
             (stream(2, c.region(1), c.sz(12 << 20), 16), 1),
             (alt(3, c.region(2), c.sz(12 << 20), 24, 40), 1),
             (chase(5, 0, c.region(4), c.n(24 << 10), c.sub(2), 1), 3),
@@ -299,7 +319,15 @@ fn astar(c: &Ctx) -> (Vec<Part>, f64) {
     (
         vec![
             (
-                gather(0, 1, c.region(0), c.region(1), c.n(192 << 10), 0.75, c.sub(0)),
+                gather(
+                    0,
+                    1,
+                    c.region(0),
+                    c.region(1),
+                    c.n(192 << 10),
+                    0.75,
+                    c.sub(0),
+                ),
                 6,
             ),
             (chase(2, 0, c.region(2), c.n(384 << 10), c.sub(1), 2), 6),
@@ -343,7 +371,10 @@ fn cigar(c: &Ctx) -> (Vec<Part>, f64) {
 fn xalan(c: &Ctx) -> (Vec<Part>, f64) {
     (
         vec![
-            (chase_nodes(0, 3, c.region(0), c.n(256 << 10), c.sub(0), 2, 128), 24),
+            (
+                chase_nodes(0, 3, c.region(0), c.n(256 << 10), c.sub(0), 2, 128),
+                24,
+            ),
             (stream(5, c.region(1), c.sz(12 << 20), 8), 1),
             (alt(6, c.region(2), c.sz(12 << 20), 8, 16), 1),
             (chase(8, 0, c.region(4), c.n(24 << 10), c.sub(2), 1), 3),

@@ -30,7 +30,10 @@ fn stride_regularity(refs: &[MemRef]) -> FxHashMap<repf_trace::Pc, f64> {
     let mut strides: FxHashMap<repf_trace::Pc, Vec<i64>> = FxHashMap::default();
     for r in refs {
         if let Some(&prev) = last.get(&r.pc) {
-            strides.entry(r.pc).or_default().push(r.addr as i64 - prev as i64);
+            strides
+                .entry(r.pc)
+                .or_default()
+                .push(r.addr as i64 - prev as i64);
         }
         last.insert(r.pc, r.addr);
     }
@@ -63,7 +66,10 @@ fn every_benchmark_misses_but_none_pathologically() {
         // LLC hits on the resident fitness structure); everything else
         // keeps a majority of hits in L1.
         if id != BenchmarkId::Cigar {
-            assert!(mr < 0.5, "{id}: must not be a pure miss generator ({mr:.3})");
+            assert!(
+                mr < 0.5,
+                "{id}: must not be a pure miss generator ({mr:.3})"
+            );
         }
     }
 }
@@ -172,7 +178,7 @@ fn alternate_inputs_scale_working_sets() {
     };
     let base = lines(InputSet::Ref);
     let small = lines(InputSet::Alt(0)); // scale 0.65
-    // Same reference count over a smaller region → fewer-or-equal lines.
+                                         // Same reference count over a smaller region → fewer-or-equal lines.
     assert!(small <= base, "smaller input touches no more lines");
 }
 
