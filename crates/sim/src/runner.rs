@@ -6,11 +6,16 @@
 //! that PC (α cycles each) and/or feeds the hardware prefetcher. Cores
 //! advance in global-time order, so DRAM-channel contention between cores
 //! is causally consistent.
+//!
+//! A core draws its references from its source in blocks of 64
+//! ([`TraceSource::fill`]), one virtual call per source layer per block.
+//! A trace does not depend on timing, so drawing ahead changes nothing a
+//! core simulates.
 
 use repf_cache::{MemorySystem, PrefetchTarget};
 use repf_core::PrefetchPlan;
 use repf_hwpf::{HwPrefetcher, PrefetchRequest};
-use repf_trace::{AccessKind, TraceSource};
+use repf_trace::{AccessKind, MemRef, Pc, TraceSource};
 
 use crate::machine::MachineConfig;
 
@@ -46,8 +51,17 @@ pub struct SoloOutcome {
     pub stall_cycles: u64,
 }
 
+/// References a core draws from its source at a time.
+const BLOCK: usize = 64;
+
 struct CoreState {
     setup: CoreSetup,
+    /// References drawn ahead of the core: `block[next..len]` are still
+    /// to run. A block shorter than [`BLOCK`] was the source's last, and
+    /// references drawn ahead die with the `Sim`, which owns the source.
+    block: [MemRef; BLOCK],
+    next: usize,
+    len: usize,
     cycles: f64,
     refs_done: u64,
     finish: Option<Finish>,
@@ -82,6 +96,9 @@ impl Sim {
                 .into_iter()
                 .map(|setup| CoreState {
                     setup,
+                    block: [MemRef::load(Pc(0), 0); BLOCK],
+                    next: BLOCK,
+                    len: BLOCK,
                     cycles: 0.0,
                     refs_done: 0,
                     finish: None,
@@ -98,9 +115,18 @@ impl Sim {
     #[inline]
     fn step(&mut self, ix: usize, sw_cost: f64) -> bool {
         let core = &mut self.cores[ix];
-        let Some(r) = core.setup.source.next_ref() else {
-            return false;
-        };
+        if core.next == core.len {
+            if core.len < BLOCK {
+                return false;
+            }
+            core.len = core.setup.source.fill(&mut core.block);
+            core.next = 0;
+            if core.len == 0 {
+                return false;
+            }
+        }
+        let r = core.block[core.next];
+        core.next += 1;
         let now = core.cycles as u64;
         let res = self.mem.demand_access(ix, r, now);
         core.cycles += core.setup.base_cpr + res.latency as f64;

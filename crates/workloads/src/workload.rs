@@ -40,6 +40,11 @@ impl TraceSource for Workload {
         self.source.next_ref()
     }
 
+    #[inline]
+    fn fill(&mut self, out: &mut [MemRef]) -> usize {
+        self.source.fill(out)
+    }
+
     fn reset(&mut self) {
         self.source.reset();
     }
