@@ -15,8 +15,9 @@ use repf_sim::{amd_phenom_ii, intel_i7_2600k, CoreSetup, Sim};
 use repf_statstack::{place, CoRunModel, StatStackModel};
 use repf_trace::patterns::{StridedStream, StridedStreamCfg};
 use repf_trace::rng::XorShift64Star;
-use repf_trace::{AccessKind, Pc, TraceSource, TraceSourceExt};
-use repf_workloads::{build, BenchmarkId, BuildOptions};
+use repf_trace::{AccessKind, MemRef, Pc, TraceSource, TraceSourceExt};
+use repf_workloads::{build, BenchmarkId, BuildOptions, Workload};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const N_REFS: u64 = 200_000;
@@ -63,7 +64,7 @@ fn bench<T>(group: &str, name: &str, elems: u64, mut f: impl FnMut() -> T) {
     );
 }
 
-fn workload(id: BenchmarkId) -> repf_workloads::Workload {
+fn workload(id: BenchmarkId) -> Workload {
     build(
         id,
         &BuildOptions {
@@ -73,10 +74,71 @@ fn workload(id: BenchmarkId) -> repf_workloads::Workload {
     )
 }
 
+/// A workload built once and lent to one simulation after another. A
+/// `CoreSetup` owns its source, so the workload goes back home when the
+/// simulation drops it, and `reset` replays the stream exactly: the
+/// rows that simulate a workload do not time building it.
+struct Home(Arc<Mutex<Option<Workload>>>);
+
+impl Home {
+    fn new(w: Workload) -> Self {
+        Home(Arc::new(Mutex::new(Some(w))))
+    }
+
+    /// The workload, rewound and cycled, as a core's source.
+    fn lend(&self) -> Box<dyn TraceSource> {
+        let mut w = self.0.lock().unwrap().take().expect("lent once at a time");
+        w.reset();
+        Box::new(
+            Lent {
+                w: Some(w),
+                home: Arc::clone(&self.0),
+            }
+            .cycle(),
+        )
+    }
+}
+
+/// See [`Home`].
+struct Lent {
+    w: Option<Workload>,
+    home: Arc<Mutex<Option<Workload>>>,
+}
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        *self.home.lock().unwrap() = self.w.take();
+    }
+}
+
+impl TraceSource for Lent {
+    fn next_ref(&mut self) -> Option<MemRef> {
+        self.w.as_mut().unwrap().next_ref()
+    }
+
+    fn fill(&mut self, out: &mut [MemRef]) -> usize {
+        self.w.as_mut().unwrap().fill(out)
+    }
+
+    fn reset(&mut self) {
+        self.w.as_mut().unwrap().reset()
+    }
+}
+
+fn bench_workload_build() {
+    // Building an analog is mostly shuffling its pointer chases' node
+    // order. Every other row builds its workloads once, outside the
+    // timed call.
+    for id in [BenchmarkId::Gcc, BenchmarkId::Mcf, BenchmarkId::Astar] {
+        bench("workload-build", id.name(), 0, || workload(id));
+    }
+}
+
 fn bench_trace_generation() {
     for id in [BenchmarkId::Libquantum, BenchmarkId::Mcf, BenchmarkId::Gcc] {
+        let mut w = workload(id);
         bench("trace-generation", id.name(), N_REFS, || {
-            let mut w = workload(id);
+            w.reset();
             let mut n = 0u64;
             while w.next_ref().is_some() {
                 n += 1;
@@ -87,6 +149,7 @@ fn bench_trace_generation() {
 }
 
 fn bench_sampler() {
+    let mut w = workload(BenchmarkId::Mcf);
     for period in [100u64, 1009, 100_000] {
         let sampler = Sampler::new(SamplerConfig {
             sample_period: period,
@@ -94,7 +157,7 @@ fn bench_sampler() {
             seed: 1,
         });
         bench("sampler", &format!("period-{period}"), N_REFS, || {
-            let mut w = workload(BenchmarkId::Mcf);
+            w.reset();
             sampler.profile(&mut w)
         });
     }
@@ -263,9 +326,10 @@ fn ring_models() -> Vec<StatStackModel> {
 }
 
 fn bench_caches() {
+    let mut w = workload(BenchmarkId::Mcf);
     bench("cache-simulation", "functional-64k-2way", N_REFS, || {
         let mut sim = FunctionalCacheSim::new(CacheConfig::new(64 << 10, 2, 64));
-        let mut w = workload(BenchmarkId::Mcf);
+        w.reset();
         sim.run(&mut w);
         sim.totals().misses
     });
@@ -290,14 +354,14 @@ fn bench_caches() {
 
 fn bench_timing_sim() {
     let m = amd_phenom_ii();
+    let gcc = workload(BenchmarkId::Gcc);
+    let (base_cpr, target_refs) = (gcc.base_cpr, gcc.nominal_refs);
+    let gcc = Home::new(gcc);
     bench("timing-simulation", "solo-baseline", N_REFS, || {
-        let w = workload(BenchmarkId::Gcc);
-        let base_cpr = w.base_cpr;
-        let target_refs = w.nominal_refs;
         Sim::run_solo(
             &m,
             CoreSetup {
-                source: Box::new(w.cycle()),
+                source: gcc.lend(),
                 base_cpr,
                 plan: None,
                 hw: None,
@@ -311,13 +375,10 @@ fn bench_timing_sim() {
         "solo-hardware-prefetch",
         N_REFS,
         || {
-            let w = workload(BenchmarkId::Gcc);
-            let base_cpr = w.base_cpr;
-            let target_refs = w.nominal_refs;
             Sim::run_solo(
                 &m,
                 CoreSetup {
-                    source: Box::new(w.cycle()),
+                    source: gcc.lend(),
                     base_cpr,
                     plan: None,
                     hw: Some(m.make_hw_prefetcher()),
@@ -327,26 +388,29 @@ fn bench_timing_sim() {
             .cycles
         },
     );
+    let lbm: Vec<(Home, f64, u64)> = (0..4)
+        .map(|i| {
+            let w = build(
+                BenchmarkId::Lbm,
+                &BuildOptions {
+                    refs_scale: N_REFS as f64 / 4.0 / 2_000_000.0,
+                    addr_offset: ((i + 1) as u64) << 45,
+                    ..Default::default()
+                },
+            );
+            let (base_cpr, target_refs) = (w.base_cpr, w.nominal_refs);
+            (Home::new(w), base_cpr, target_refs)
+        })
+        .collect();
     bench("timing-simulation", "mix-4core-baseline", N_REFS, || {
-        let setups = (0..4)
-            .map(|i| {
-                let w = build(
-                    BenchmarkId::Lbm,
-                    &BuildOptions {
-                        refs_scale: N_REFS as f64 / 4.0 / 2_000_000.0,
-                        addr_offset: ((i + 1) as u64) << 45,
-                        ..Default::default()
-                    },
-                );
-                let base_cpr = w.base_cpr;
-                let target_refs = w.nominal_refs;
-                CoreSetup {
-                    source: Box::new(w.cycle()),
-                    base_cpr,
-                    plan: None,
-                    hw: None,
-                    target_refs,
-                }
+        let setups = lbm
+            .iter()
+            .map(|(w, base_cpr, target_refs)| CoreSetup {
+                source: w.lend(),
+                base_cpr: *base_cpr,
+                plan: None,
+                hw: None,
+                target_refs: *target_refs,
             })
             .collect();
         Sim::run_mix(&m, setups).len()
@@ -354,6 +418,7 @@ fn bench_timing_sim() {
 }
 
 fn main() {
+    bench_workload_build();
     bench_trace_generation();
     bench_sampler();
     bench_statstack();
